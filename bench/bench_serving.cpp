@@ -727,7 +727,6 @@ int main(int argc, char** argv) {
     scfg.port = 0;  // ephemeral
     scfg.threads = 1;
     scfg.batch_max = 32;
-    scfg.flush_age_seconds = 1e-3;
     scfg.queue_capacity = 256;
     serve::NetServer server(estimator, scfg);
     server.start();

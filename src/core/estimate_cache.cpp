@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/hash.hpp"
 #include "core/telemetry/telemetry.hpp"
 
 namespace gnntrans::core {
@@ -40,20 +41,11 @@ struct CacheMetrics {
   }
 };
 
-/// splitmix64 — mixes the two (already individually finalized) key halves
-/// into shard/bucket indices so shard routing is uncorrelated with either
-/// half alone.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
+/// Mixes the two (already individually finalized) key halves into
+/// shard/bucket indices so shard routing is uncorrelated with either half
+/// alone.
 std::uint64_t key_hash(const CacheKey& key) noexcept {
-  return mix(key.net ^ (key.ctx << 32 | key.ctx >> 32));
+  return splitmix64_finalize(key.net ^ (key.ctx << 32 | key.ctx >> 32));
 }
 
 struct KeyHash {

@@ -2,29 +2,9 @@
 
 #include <cmath>
 
+#include "core/hash.hpp"
+
 namespace gnntrans::core {
-
-namespace {
-
-/// FNV-1a over the key bytes — stable across platforms (std::hash is not).
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// splitmix64 finalizer: decorrelates seed/site/key mixes.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 FaultInjector& FaultInjector::global() {
   static FaultInjector injector;
@@ -52,7 +32,8 @@ bool FaultInjector::would_fail(FaultSite site,
   const auto bit = 1u << static_cast<std::uint32_t>(site);
   if ((site_mask_ & bit) == 0) return false;
   const std::uint64_t h =
-      mix(seed_ ^ mix(static_cast<std::uint64_t>(site) + 1) ^ fnv1a(key));
+      splitmix64(seed_ ^ splitmix64(static_cast<std::uint64_t>(site) + 1) ^
+                 fnv1a(key));
   return h <= threshold_;
 }
 

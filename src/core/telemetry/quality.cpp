@@ -8,35 +8,13 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/hash.hpp"
 #include "core/telemetry/flight_recorder.hpp"
 #include "core/telemetry/log.hpp"
 #include "core/telemetry/metrics.hpp"
 
 namespace gnntrans::telemetry {
 namespace {
-
-// Same pure-hash pipeline as core::FaultInjector: FNV-1a over the key,
-// splitmix64 finalizer over the mix. A decision is a pure function of
-// (seed, name), which is what makes the sampled-net set invariant under
-// thread count and batch splitting.
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = kFnvBasis;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t rate_to_threshold(double rate) noexcept {
   if (!(rate > 0.0)) return 0;
@@ -357,7 +335,10 @@ bool QualityMonitor::should_shadow(std::string_view net_name) const noexcept {
       shadow_threshold_.load(std::memory_order_relaxed);
   if (threshold == 0) return false;
   const std::uint64_t seed = shadow_seed_.load(std::memory_order_relaxed);
-  return mix(seed ^ fnv1a(net_name)) <= threshold;
+  // Same pure-hash pipeline as core::FaultInjector. A decision is a pure
+  // function of (seed, name), which is what makes the sampled-net set
+  // invariant under thread count and batch splitting.
+  return core::splitmix64(seed ^ core::fnv1a(net_name)) <= threshold;
 }
 
 double QualityMonitor::effective_rate() const noexcept {

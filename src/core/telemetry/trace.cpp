@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/hash.hpp"
 #include "core/telemetry/log.hpp"
 #include "core/telemetry/metrics.hpp"
 
@@ -23,16 +24,6 @@ void copy_truncated(char* dst, std::size_t cap, std::string_view src) {
   const std::size_t n = std::min(cap - 1, src.size());
   std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
-}
-
-/// splitmix64 finalizer — the same pure-hash family FaultInjector and the
-/// quality shadow sampler use, so head sampling is a deterministic function
-/// of (seed, request_id) with no per-request state.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 /// Hard ceiling for the adaptive 1-in-N: beyond this, sampling is
@@ -135,7 +126,7 @@ void TraceRecorder::record_flow(TracePhase phase, std::string_view name,
 TraceContext TraceRecorder::head_sample(std::uint64_t request_id) noexcept {
   if (!enabled()) return {};
   const std::uint64_t seed = head_seed_.load(std::memory_order_relaxed);
-  const std::uint64_t mixed = mix64(request_id ^ seed);
+  const std::uint64_t mixed = core::splitmix64(request_id ^ seed);
   TraceContext ctx;
   ctx.trace_id = mixed ? mixed : 1;
   // The overhead controller throttles head sampling by the same factor it
@@ -154,7 +145,7 @@ TraceContext TraceRecorder::head_sample(std::uint64_t request_id) noexcept {
     // correlated with the trace_id bits.
     const auto threshold =
         static_cast<std::uint64_t>(rate * 18446744073709551616.0);
-    ctx.sampled = mix64(mixed ^ 0x517CC1B727220A95ull) < threshold;
+    ctx.sampled = core::splitmix64(mixed ^ 0x517CC1B727220A95ull) < threshold;
   }
   if (ctx.sampled) ctx.span_id = next_span_id();
   return ctx;

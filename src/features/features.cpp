@@ -1,37 +1,32 @@
 #include "features/features.hpp"
 
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+
+#include "core/hash.hpp"
 
 namespace gnntrans::features {
 
 using rcnet::NodeId;
 
 std::uint64_t content_hash(const NetContext& context) noexcept {
-  // Same FNV-1a + splitmix64 idiom as rcnet::validate()'s net hash. Doubles
-  // fold by bit pattern: a one-ULP slew change must be a cache miss because
-  // hits are required to be bitwise identical to recomputation.
-  constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-  std::uint64_t h = 1469598103934665603ull;
-  const auto fold = [&h](std::uint64_t word) { h = (h ^ word) * kFnvPrime; };
-  fold(std::bit_cast<std::uint64_t>(context.input_slew));
-  fold(std::bit_cast<std::uint64_t>(context.driver_resistance));
-  fold((static_cast<std::uint64_t>(context.driver_strength) << 32) |
-       static_cast<std::uint64_t>(context.driver_function));
-  fold(static_cast<std::uint64_t>(context.loads.size()));
+  // Same FNV word fold + splitmix64 finalizer as rcnet::validate()'s net
+  // hash. Doubles fold by bit pattern: a one-ULP slew change must be a cache
+  // miss because hits are required to be bitwise identical to recomputation.
+  std::uint64_t h = core::kFnvBasis;
+  core::fnv_fold(h, context.input_slew);
+  core::fnv_fold(h, context.driver_resistance);
+  core::fnv_fold(h,
+                 (static_cast<std::uint64_t>(context.driver_strength) << 32) |
+                     static_cast<std::uint64_t>(context.driver_function));
+  core::fnv_fold(h, static_cast<std::uint64_t>(context.loads.size()));
   for (const SinkLoad& load : context.loads) {
-    fold((static_cast<std::uint64_t>(load.drive_strength) << 32) |
-         static_cast<std::uint64_t>(load.function));
-    fold(std::bit_cast<std::uint64_t>(load.input_cap));
+    core::fnv_fold(h, (static_cast<std::uint64_t>(load.drive_strength) << 32) |
+                          static_cast<std::uint64_t>(load.function));
+    core::fnv_fold(h, load.input_cap);
   }
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebull;
-  h ^= h >> 31;
-  return h;
+  return core::splitmix64_finalize(h);
 }
 
 NetContext random_context(const cell::CellLibrary& library,

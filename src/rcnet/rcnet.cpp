@@ -1,40 +1,19 @@
 #include "rcnet/rcnet.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <vector>
 
+#include "core/hash.hpp"
+
 namespace gnntrans::rcnet {
 
-namespace {
-
-// FNV-1a over 64-bit words with a splitmix64 finalizer — the repo's standard
-// content-hash idiom (quality.cpp feature baselines, trace ids, fault keys).
-// Doubles are folded by raw bit pattern: cache hits must be *bitwise*
+// The content hash is the FNV word fold + splitmix64 finalizer of
+// core/hash.hpp. Doubles fold by raw bit pattern: cache hits must be *bitwise*
 // identical to recomputation, so the key must distinguish values that differ
 // in even one ULP.
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-inline void fold(std::uint64_t& h, std::uint64_t word) noexcept {
-  h = (h ^ word) * kFnvPrime;
-}
-
-inline void fold(std::uint64_t& h, double value) noexcept {
-  fold(h, std::bit_cast<std::uint64_t>(value));
-}
-
-inline std::uint64_t finalize(std::uint64_t h) noexcept {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebull;
-  h ^= h >> 31;
-  return h;
-}
-
-}  // namespace
+using core::fnv_fold;
+using core::splitmix64_finalize;
 
 bool RcNet::is_tree() const {
   if (node_count() == 0) return false;
@@ -59,21 +38,21 @@ double RcNet::total_resistance() const noexcept {
 
 std::vector<std::string> RcNet::validate(std::uint64_t* content_hash) const {
   std::vector<std::string> errors;
-  std::uint64_t hash = kFnvBasis;
+  std::uint64_t hash = core::kFnvBasis;
   const std::size_t n = node_count();
-  fold(hash, static_cast<std::uint64_t>(n));
-  fold(hash, static_cast<std::uint64_t>(source));
-  fold(hash, static_cast<std::uint64_t>(sinks.size()));
+  fnv_fold(hash, static_cast<std::uint64_t>(n));
+  fnv_fold(hash, static_cast<std::uint64_t>(source));
+  fnv_fold(hash, static_cast<std::uint64_t>(sinks.size()));
   if (n == 0) {
     errors.push_back("net has no nodes");
-    if (content_hash != nullptr) *content_hash = finalize(hash);
+    if (content_hash != nullptr) *content_hash = splitmix64_finalize(hash);
     return errors;
   }
   if (source >= n) errors.push_back("source node out of range");
   if (sinks.empty()) errors.push_back("net has no sinks");
   std::vector<bool> sink_seen(n, false);
   for (NodeId s : sinks) {
-    fold(hash, static_cast<std::uint64_t>(s));
+    fnv_fold(hash, static_cast<std::uint64_t>(s));
     if (s >= n) {
       errors.push_back("sink node out of range");
     } else {
@@ -85,12 +64,12 @@ std::vector<std::string> RcNet::validate(std::uint64_t* content_hash) const {
   }
   std::vector<std::pair<NodeId, NodeId>> edge_keys;
   edge_keys.reserve(resistors.size());
-  fold(hash, static_cast<std::uint64_t>(resistors.size()));
+  fnv_fold(hash, static_cast<std::uint64_t>(resistors.size()));
   for (std::size_t i = 0; i < resistors.size(); ++i) {
     const Resistor& r = resistors[i];
-    fold(hash, (static_cast<std::uint64_t>(r.a) << 32) |
+    fnv_fold(hash, (static_cast<std::uint64_t>(r.a) << 32) |
                    static_cast<std::uint64_t>(r.b));
-    fold(hash, r.ohms);
+    fnv_fold(hash, r.ohms);
     if (r.a >= n || r.b >= n)
       errors.push_back("resistor " + std::to_string(i) + " endpoint out of range");
     else if (r.a == r.b)
@@ -109,21 +88,21 @@ std::vector<std::string> RcNet::validate(std::uint64_t* content_hash) const {
                        std::to_string(edge_keys[i].first) + " and " +
                        std::to_string(edge_keys[i].second));
   for (std::size_t i = 0; i < n; ++i) {
-    fold(hash, ground_cap[i]);
+    fnv_fold(hash, ground_cap[i]);
     if (!(ground_cap[i] > 0.0))
       errors.push_back("node " + std::to_string(i) + " has non-positive ground cap");
   }
-  fold(hash, static_cast<std::uint64_t>(couplings.size()));
+  fnv_fold(hash, static_cast<std::uint64_t>(couplings.size()));
   for (std::size_t i = 0; i < couplings.size(); ++i) {
-    fold(hash, static_cast<std::uint64_t>(couplings[i].victim_node));
-    fold(hash, couplings[i].farads);
-    fold(hash, couplings[i].aggressor_seed);
+    fnv_fold(hash, static_cast<std::uint64_t>(couplings[i].victim_node));
+    fnv_fold(hash, couplings[i].farads);
+    fnv_fold(hash, couplings[i].aggressor_seed);
     if (couplings[i].victim_node >= n)
       errors.push_back("coupling " + std::to_string(i) + " victim out of range");
     if (!(couplings[i].farads > 0.0))
       errors.push_back("coupling " + std::to_string(i) + " has non-positive value");
   }
-  if (content_hash != nullptr) *content_hash = finalize(hash);
+  if (content_hash != nullptr) *content_hash = splitmix64_finalize(hash);
   if (errors.empty()) {
     // Loop sanity: a connected graph has resistors >= n-1; the surplus is the
     // independent-loop count. A mesh denser than one loop per node is outside

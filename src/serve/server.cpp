@@ -132,36 +132,26 @@ void record_flight(const char* what, const char* outcome, const char* detail) {
   flight.record(fr);
 }
 
-/// Fault key "req/<id>/<attempt>" peeked straight out of a frame header (the
-/// id/attempt fields sit at fixed offsets) so the read-fault decision can be
-/// made before — and independent of — a full decode. Falls back to a
-/// connection-local key for frames too short to carry a header.
-std::string request_key(std::string_view payload, std::uint64_t conn_id,
-                        std::uint64_t frame_seq) {
-  if (payload.size() >= 20) {
-    std::uint64_t id = 0;
-    for (int i = 15; i >= 8; --i)
-      id = (id << 8) | static_cast<std::uint8_t>(payload[static_cast<std::size_t>(i)]);
-    std::uint32_t attempt = 0;
-    for (int i = 19; i >= 16; --i)
-      attempt = (attempt << 8) |
-                static_cast<std::uint8_t>(payload[static_cast<std::size_t>(i)]);
-    return "req/" + std::to_string(id) + "/" + std::to_string(attempt);
-  }
-  return "frame/" + std::to_string(conn_id) + "/" + std::to_string(frame_seq);
-}
-
-/// Best-effort id/attempt echo for rejects on payloads that failed to decode.
-void peek_ids(std::string_view payload, std::uint64_t* id,
-              std::uint32_t* attempt) {
+/// Request id and attempt peeked straight out of a frame header (the fields
+/// sit at fixed offsets), without a full decode. False, leaving both at 0,
+/// for frames too short to carry a header.
+bool peek_header(std::string_view payload, std::uint64_t* id,
+                 std::uint32_t* attempt) {
   *id = 0;
   *attempt = 0;
-  if (payload.size() < 20) return;
+  if (payload.size() < 20) return false;
   for (int i = 15; i >= 8; --i)
     *id = (*id << 8) | static_cast<std::uint8_t>(payload[static_cast<std::size_t>(i)]);
   for (int i = 19; i >= 16; --i)
     *attempt = (*attempt << 8) |
                static_cast<std::uint8_t>(payload[static_cast<std::size_t>(i)]);
+  return true;
+}
+
+/// Fault key of one request attempt. The attempt is part of the key, so a
+/// client retry re-rolls instead of failing forever.
+std::string request_key(std::uint64_t id, std::uint32_t attempt) {
+  return "req/" + std::to_string(id) + "/" + std::to_string(attempt);
 }
 
 }  // namespace
@@ -272,8 +262,8 @@ void NetServer::stop() {
   [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &wake, 1);
   if (accept_thread_.joinable()) accept_thread_.join();
 
-  // 3. Flush in-flight: the batcher drains the queue (draining_ makes the
-  //    flush predicate immediate) and exits once it is empty.
+  // 3. Flush in-flight: the batcher drains the queue and exits once it is
+  //    empty.
   queue_cv_.notify_all();
   if (batch_thread_.joinable()) batch_thread_.join();
 
@@ -567,8 +557,17 @@ bool NetServer::handle_frame(const std::shared_ptr<Connection>& conn,
   ledger_.frames.fetch_add(1, std::memory_order_relaxed);
   metrics.frames.inc();
 
+  // The read-fault decision is keyed off the peeked header, so it is made
+  // before — and independent of — a full decode. Frames too short to carry a
+  // header fall back to a connection-local key.
   static thread_local std::uint64_t frame_seq = 0;
-  const std::string key = request_key(payload, conn->id, frame_seq++);
+  const std::uint64_t seq = frame_seq++;
+  std::uint64_t peeked_id = 0;
+  std::uint32_t peeked_attempt = 0;
+  const std::string key =
+      peek_header(payload, &peeked_id, &peeked_attempt)
+          ? request_key(peeked_id, peeked_attempt)
+          : "frame/" + std::to_string(conn->id) + "/" + std::to_string(seq);
   if (faults.armed() &&
       faults.should_fail(core::FaultSite::kNetRead, key)) {
     // Injected torn read: pretend the frame never arrived intact and drop the
@@ -584,11 +583,9 @@ bool NetServer::handle_frame(const std::shared_ptr<Connection>& conn,
     ledger_.rejected_malformed.fetch_add(1, std::memory_order_relaxed);
     metrics.rejected_malformed.inc();
     metrics.rejected.inc();
-    std::uint64_t id = 0;
-    std::uint32_t attempt = 0;
-    peek_ids(payload, &id, &attempt);
-    send_reject(conn, id, attempt, core::ErrorCode::kMalformedFrame,
-                status.message());
+    // Best-effort id/attempt echo from the peeked header.
+    send_reject(conn, peeked_id, peeked_attempt,
+                core::ErrorCode::kMalformedFrame, status.message());
     return true;
   }
   ledger_.requests_decoded.fetch_add(1, std::memory_order_relaxed);
@@ -682,35 +679,16 @@ void NetServer::batch_loop() {
     double oldest_behind = 0.0;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      // Size-or-age coalescing (the COMM_MIN/COMM_DELAY pair): flush a full
-      // batch immediately, otherwise wake exactly when the oldest request
-      // hits the flush age. The deadline is re-armed on every wakeup, so a
-      // request landing in an idle queue flushes flush_age later — not up to
-      // a whole liveness tick later (the 100 ms idle wait is a backstop
-      // only, every arrival notifies the cv).
-      for (;;) {
-        if (draining_.load(std::memory_order_acquire) ||
-            queue_.size() >= config_.batch_max)
-          break;
-        if (queue_.empty()) {
-          metrics.queue_oldest_age.set(0.0);
-          queue_cv_.wait_for(lock, std::chrono::milliseconds(100));
-          continue;
-        }
-        const Clock::time_point flush_at =
-            queue_.front().enqueued +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(config_.flush_age_seconds));
-        if (Clock::now() >= flush_at) break;
-        metrics.queue_oldest_age.set(seconds_since(queue_.front().enqueued));
-        queue_cv_.wait_until(lock, flush_at);
-      }
-      if (queue_.empty()) {
-        // Only reachable when draining: the queue is verifiably flushed.
-        metrics.queue_oldest_age.set(0.0);
-        break;
-      }
-      metrics.queue_oldest_age.set(seconds_since(queue_.front().enqueued));
+      // Natural batching: sleep until work arrives or the server drains, then
+      // take everything queued, up to batch_max. Whatever arrives during model
+      // time forms the next batch, so an idle model never waits on a peer
+      // that may not come, and a busy one batches as deep as its backlog. No
+      // timed wake is needed: every admission notifies the cv, and stop()
+      // sets draining_ under this lock before notify_all.
+      queue_cv_.wait(lock, [this] {
+        return !queue_.empty() || draining_.load(std::memory_order_acquire);
+      });
+      if (queue_.empty()) break;  // draining, and the queue is flushed
       const std::size_t take = std::min(queue_.size(), config_.batch_max);
       batch.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
@@ -817,10 +795,10 @@ void NetServer::batch_loop() {
 
     for (std::size_t i = 0; i < kept.size(); ++i) {
       const Pending& pending = kept[i];
-      const std::string key = "req/" + std::to_string(pending.request.request_id) +
-                              "/" + std::to_string(pending.request.attempt);
       if (faults.armed() &&
-          faults.should_fail(core::FaultSite::kNetWrite, key)) {
+          faults.should_fail(core::FaultSite::kNetWrite,
+                             request_key(pending.request.request_id,
+                                         pending.request.attempt))) {
         // Injected failed write: the connection dies with the response
         // undelivered; the client observes a transport failure and retries.
         ledger_.faults_write.fetch_add(1, std::memory_order_relaxed);

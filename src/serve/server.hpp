@@ -12,10 +12,11 @@
 /// the admission path: draining → typed kShuttingDown reject; bounded queue
 /// full → typed kOverloaded reject (load is *shed*, never silently dropped);
 /// otherwise the request is queued with its arrival time. The batcher
-/// coalesces requests across clients and flushes on size-or-age (batch_max /
-/// flush_age_seconds — the classic COMM_MIN/COMM_DELAY pair), expires
-/// requests whose own deadline already passed (typed kDeadlineExceeded),
-/// propagates the tightest remaining deadline into
+/// coalesces requests across clients by natural batching: whenever the model
+/// is free it takes everything queued (up to batch_max), so requests that
+/// arrive during model time form the next batch and no timer ever holds an
+/// unfull batch. It expires requests whose own deadline already passed
+/// (typed kDeadlineExceeded), propagates the tightest remaining deadline into
 /// BatchOptions::deadline_seconds, and serves the batch through one
 /// estimate_batch call — so the estimator's thread pool, workspace arenas,
 /// and degradation ladder are shared by every client. Responses are encoded
@@ -31,8 +32,9 @@
 /// Shutdown is a graceful drain: stop() stops accepting, rejects new
 /// admissions (kShuttingDown), lets the batcher flush everything in flight,
 /// delivers the responses, then closes connections and joins every thread.
-/// Every wait in the server is bounded (poll ticks + timeouts), so stop()
-/// cannot hang on a stuck peer.
+/// Every socket wait is bounded (poll ticks + timeouts) and the batcher's
+/// only wait ends on admission or drain, so stop() cannot hang on a stuck
+/// peer.
 ///
 /// Fault injection: when core::FaultInjector::global() is armed with network
 /// sites, the server consults kAccept (keyed "accept/<seq>"), kNetRead /
@@ -86,10 +88,9 @@ struct NetServerConfig {
   /// Admission queue bound: requests beyond this are load-shed with a typed
   /// kOverloaded reject. Never a silent drop.
   std::size_t queue_capacity = 1024;
-  /// Flush the coalescing queue once this many requests are waiting…
+  /// Most requests one batch takes from the queue. A batch starts as soon as
+  /// the model is free, with whatever is queued up to this many.
   std::size_t batch_max = 64;
-  /// …or once the oldest waiting request is this old, whichever first.
-  double flush_age_seconds = 2e-3;
 
   /// A connection holding a *partial* frame longer than this is closed as
   /// half-open. Idle connections with no partial frame may stay.

@@ -3,15 +3,15 @@
 // compatibility), request tracing end to end (stage-clock telescoping, p99
 // exemplar resolution on /tracez, bitwise non-intrusiveness, trace ids in
 // failure statuses, gnntrans_client_* retry counters), the hardened admission
-// path
-// (typed kOverloaded load-shedding, per-request deadlines, kShuttingDown
-// drain), malformed-frame survival (truncated prefixes, hostile lengths,
-// garbage payloads, mid-frame disconnects), the EADDRINUSE bind retry — and
-// the headline: a deterministic soak where 8 concurrent clients push 10k
-// requests through a server with 5% injected socket faults, every request is
-// accounted for in exactly one ledger bucket, the injected-fault counters
-// match the injector exactly, and every served response is bitwise-identical
-// to a direct estimate_batch call.
+// path (typed kOverloaded load-shedding, per-request deadlines, kShuttingDown
+// drain), natural batching (arrivals during model time form one next batch,
+// a lone request is a batch of one), malformed-frame survival (truncated
+// prefixes, hostile lengths, garbage payloads, mid-frame disconnects), the
+// EADDRINUSE bind retry — and the headline: a deterministic soak where 8
+// concurrent clients push 10k requests through a server with 5% injected
+// socket faults, every request is accounted for in exactly one ledger bucket,
+// the injected-fault counters match the injector exactly, and every served
+// response is bitwise-identical to a direct estimate_batch call.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -286,6 +286,92 @@ std::string make_request_bytes(std::uint64_t id, std::size_t item,
   request.context = eval.contexts[item % eval.contexts.size()];
   return serve::encode_request(request);
 }
+
+// ---------------------------------------------------------------------------
+// Holding the batcher with real model work. The server batches naturally (a
+// batch starts whenever the model is free, with whatever is queued), so a
+// test that needs requests to wait in the queue first occupies the model: it
+// sends one large tree net, waits until that net has left the queue, and only
+// then sends the requests under test. They queue behind the blocker's
+// featurize+forward — ~0.1 s for 800 nodes in an optimized build, longer
+// under sanitizers.
+
+/// Current snapshot of a named histogram in the global registry (empty if
+/// absent).
+telemetry::HistogramData global_histogram(std::string_view name) {
+  const telemetry::MetricsSnapshot snap =
+      telemetry::MetricsRegistry::global().snapshot();
+  for (const telemetry::MetricsSnapshot::HistogramValue& h : snap.histograms)
+    if (h.name == name) return h.data;
+  return {};
+}
+
+/// Observations in the bucket whose upper bound is \p le (0 if none).
+std::uint64_t bucket_count(const telemetry::HistogramData& h, double le) {
+  for (std::size_t i = 0; i < h.bounds().size(); ++i)
+    if (h.bounds()[i] == le) return h.bucket_counts()[i];
+  return 0;
+}
+
+/// Occupies a server's batcher with one 800-node tree net (a ~21 KB frame,
+/// far under the 1 MiB limit), sent on its own connection.
+class BatcherHold {
+ public:
+  static constexpr std::uint64_t kBlockerId = 900001;
+
+  /// Sends the blocker and returns true once it has left the admission queue
+  /// (its queue wait was observed) while no batch has finished yet.
+  /// Requests sent afterwards queue until the blocker's batch ends.
+  bool engage(const serve::NetServer& server) {
+    const std::uint64_t formed0 =
+        global_histogram("gnntrans_net_queue_wait_seconds").count();
+    if (!conn_.connect_to(server.port()) ||
+        !conn_.send_bytes(blocker_request_bytes()))
+      return false;
+    return wait_until(
+               [&] {
+                 return global_histogram("gnntrans_net_queue_wait_seconds")
+                            .count() > formed0;
+               },
+               10000) &&
+           still_held(server);
+  }
+
+  /// True while the blocker's batch is still in model time. Checked after
+  /// the requests under test were admitted, it proves they queued behind the
+  /// blocker — a test must fail, not pass vacuously, when it is false.
+  static bool still_held(const serve::NetServer& server) {
+    return server.ledger().batches.load() == 0;
+  }
+
+  /// Reads the blocker's own answer: served once the hold ends.
+  bool blocker_served() {
+    const std::vector<serve::ResponseFrame> responses =
+        conn_.read_responses(1, 30000);
+    return responses.size() == 1 && responses[0].request_id == kBlockerId &&
+           responses[0].status == ErrorCode::kOk;
+  }
+
+ private:
+  static std::string blocker_request_bytes() {
+    serve::RequestFrame request;
+    std::mt19937_64 rng(5);
+    rcnet::NetGenConfig cfg;
+    cfg.min_nodes = cfg.max_nodes = 800;
+    cfg.min_sinks = cfg.max_sinks = 12;
+    cfg.non_tree_fraction = 0.0;
+    request.request_id = kBlockerId;
+    request.net = rcnet::generate_net(cfg, rng, "blocker");
+    request.context =
+        features::random_context(shared_library(), request.net, rng);
+    return serve::encode_request(request);
+  }
+
+  RawConn conn_;
+};
+
+constexpr const char* kHoldLost =
+    "the blocker's batch finished too early: the queue was never held";
 
 // ---------------------------------------------------------------------------
 // Protocol: bitwise round-trips and bounds-checked decode.
@@ -572,7 +658,6 @@ TEST(ServeBind, RetriesUntilPortFrees) {
 TEST(NetServe, EndToEndBitwiseIdenticalToDirectBatch) {
   const EvalData& eval = shared_eval();
   serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 1e-3;
   serve::NetServer server(shared_estimator(), scfg);
   server.start();
 
@@ -610,7 +695,6 @@ TEST(NetServe, TracedRequestsBitwiseIdenticalWithFullStageBreakdown) {
   TraceGuard tracing(/*head_rate=*/1.0);  // every request head-sampled
 
   serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 1e-3;
   serve::NetServer server(shared_estimator(), scfg);
   server.start();
 
@@ -680,17 +764,28 @@ TEST(NetServe, TracedRequestsBitwiseIdenticalWithFullStageBreakdown) {
 TEST(NetServe, FailureStatusCarriesTraceId) {
   TraceGuard tracing(/*head_rate=*/1.0);
   serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 0.05;  // 50 ms queue dwell >> 1 ms budget
   serve::NetServer server(shared_estimator(), scfg);
   server.start();
+  BatcherHold hold;  // queue dwell behind the blocker >> 1 ms budget
+  ASSERT_TRUE(hold.engage(server)) << kHoldLost;
 
   serve::NetClientConfig ccfg;
   ccfg.port = server.port();
   ccfg.max_retries = 0;
   serve::NetClient client(ccfg);
-  const serve::NetClient::Result result = client.estimate(
-      shared_eval().nets[0], shared_eval().contexts[0], /*deadline_us=*/1000);
+  serve::NetClient::Result result;
+  std::thread caller([&] {
+    result = client.estimate(shared_eval().nets[0], shared_eval().contexts[0],
+                             /*deadline_us=*/1000);
+  });
+  const bool admitted = wait_until(
+      [&] { return server.ledger().requests_decoded.load() == 2; }, 5000);
+  const bool held = BatcherHold::still_held(server);
+  caller.join();
+  ASSERT_TRUE(admitted);
+  ASSERT_TRUE(held) << kHoldLost;
   server.stop();
+  EXPECT_TRUE(hold.blocker_served());
 
   EXPECT_EQ(result.status.code(), ErrorCode::kDeadlineExceeded);
   ASSERT_NE(result.trace_id, 0u);
@@ -713,7 +808,6 @@ TEST(NetServe, ClientRetryCountersTrackInjectedFaults) {
   injector.configure(fcfg);
 
   serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 1e-3;
   serve::NetServer server(shared_estimator(), scfg);
   server.start();
 
@@ -781,7 +875,6 @@ TEST(NetServe, ClientRetryCountersTrackInjectedFaults) {
 
 TEST(NetServe, GarbagePayloadRejectedConnectionSurvives) {
   serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 1e-3;
   serve::NetServer server(shared_estimator(), scfg);
   server.start();
 
@@ -890,17 +983,19 @@ TEST(NetServe, QueueFullShedsLoadWithTypedReject) {
   serve::NetServerConfig scfg;
   scfg.queue_capacity = 2;
   scfg.batch_max = 1024;
-  scfg.flush_age_seconds = 10.0;  // batcher holds: the queue must fill
   serve::NetServer server(shared_estimator(), scfg);
   server.start();
+  BatcherHold hold;  // batcher busy: the queue must fill
+  ASSERT_TRUE(hold.engage(server)) << kHoldLost;
 
   RawConn conn;
   ASSERT_TRUE(conn.connect_to(server.port()));
   for (std::uint64_t id = 1; id <= 3; ++id)
     ASSERT_TRUE(conn.send_bytes(make_request_bytes(id, id)));
   ASSERT_TRUE(wait_until(
-      [&] { return server.ledger().rejected_overload.load() == 1; }, 2000));
-  EXPECT_EQ(server.ledger().requests_decoded.load(), 3u);
+      [&] { return server.ledger().rejected_overload.load() == 1; }, 5000));
+  ASSERT_TRUE(BatcherHold::still_held(server)) << kHoldLost;
+  EXPECT_EQ(server.ledger().requests_decoded.load(), 3u + 1u);  // + blocker
 
   server.stop();  // drains the two admitted requests
   const std::vector<serve::ResponseFrame> responses =
@@ -916,35 +1011,48 @@ TEST(NetServe, QueueFullShedsLoadWithTypedReject) {
   }
   EXPECT_EQ(ok, 2u);
   EXPECT_EQ(overloaded, 1u);
-  EXPECT_EQ(server.ledger().served.load(), 2u);
+  EXPECT_TRUE(hold.blocker_served());
+  EXPECT_EQ(server.ledger().served.load(), 2u + 1u);  // + blocker
 }
 
 TEST(NetServe, ExpiredDeadlineRejectedAtTriage) {
   serve::NetServerConfig scfg;
-  scfg.flush_age_seconds = 0.05;  // 50 ms queue dwell >> 1 ms budget
   serve::NetServer server(shared_estimator(), scfg);
   server.start();
+  BatcherHold hold;  // queue dwell behind the blocker >> 1 ms budget
+  ASSERT_TRUE(hold.engage(server)) << kHoldLost;
 
   serve::NetClientConfig ccfg;
   ccfg.port = server.port();
   ccfg.max_retries = 0;
   serve::NetClient client(ccfg);
-  const serve::NetClient::Result result = client.estimate(
-      shared_eval().nets[0], shared_eval().contexts[0], /*deadline_us=*/1000);
+  serve::NetClient::Result result;
+  std::thread caller([&] {
+    result = client.estimate(shared_eval().nets[0], shared_eval().contexts[0],
+                             /*deadline_us=*/1000);
+  });
+  const bool admitted = wait_until(
+      [&] { return server.ledger().requests_decoded.load() == 2; }, 5000);
+  const bool held = BatcherHold::still_held(server);
+  caller.join();
+  ASSERT_TRUE(admitted);
+  ASSERT_TRUE(held) << kHoldLost;
   EXPECT_EQ(result.status.code(), ErrorCode::kDeadlineExceeded);
   EXPECT_FALSE(result.served());
   server.stop();
+  EXPECT_TRUE(hold.blocker_served());
   EXPECT_EQ(server.ledger().rejected_deadline.load(), 1u);
-  EXPECT_EQ(server.ledger().served.load(), 0u);
+  EXPECT_EQ(server.ledger().served.load(), 0u + 1u);  // + blocker
 }
 
 TEST(NetServe, GracefulDrainServesQueuedAndRejectsNew) {
   serve::NetServerConfig scfg;
   scfg.batch_max = 1024;
   scfg.queue_capacity = 4096;
-  scfg.flush_age_seconds = 10.0;  // nothing flushes until the drain
   serve::NetServer server(shared_estimator(), scfg);
   server.start();
+  BatcherHold hold;  // nothing is served until the drain
+  ASSERT_TRUE(hold.engage(server)) << kHoldLost;
 
   constexpr std::uint64_t kQueued = 120;
   RawConn conn;
@@ -952,8 +1060,9 @@ TEST(NetServe, GracefulDrainServesQueuedAndRejectsNew) {
   for (std::uint64_t id = 1; id <= kQueued; ++id)
     ASSERT_TRUE(conn.send_bytes(make_request_bytes(id, id)));
   ASSERT_TRUE(wait_until(
-      [&] { return server.ledger().requests_decoded.load() == kQueued; },
+      [&] { return server.ledger().requests_decoded.load() == kQueued + 1; },
       5000));
+  ASSERT_TRUE(BatcherHold::still_held(server)) << kHoldLost;
 
   std::thread stopper([&] { server.stop(); });
   // Give stop() a beat to set draining, then poke it with new requests: every
@@ -982,9 +1091,83 @@ TEST(NetServe, GracefulDrainServesQueuedAndRejectsNew) {
   EXPECT_EQ(ok, kQueued);
   EXPECT_EQ(other, 0u);
   EXPECT_GE(shutdown, 1u);
-  EXPECT_EQ(ok, server.ledger().served.load());
+  EXPECT_TRUE(hold.blocker_served());
+  EXPECT_EQ(ok + 1, server.ledger().served.load());  // + blocker
   EXPECT_EQ(shutdown, server.ledger().rejected_shutdown.load());
-  EXPECT_EQ(ok + shutdown, server.ledger().requests_decoded.load());
+  EXPECT_EQ(ok + shutdown + 1, server.ledger().requests_decoded.load());
+}
+
+// ---------------------------------------------------------------------------
+// Natural batching: a batch starts whenever the model is free and takes
+// everything queued (up to batch_max); arrivals during model time form the
+// next batch.
+
+TEST(NetServe, ArrivalsDuringModelTimeFormOneNextBatch) {
+  const EvalData& eval = shared_eval();
+  serve::NetServerConfig scfg;
+  scfg.batch_max = 8;
+  serve::NetServer server(shared_estimator(), scfg);
+  server.start();
+  const telemetry::HistogramData sizes0 =
+      global_histogram("gnntrans_net_batch_size");
+  BatcherHold hold;
+  ASSERT_TRUE(hold.engage(server)) << kHoldLost;
+
+  constexpr std::uint64_t kArrivals = 5;  // <= batch_max
+  RawConn conn;
+  ASSERT_TRUE(conn.connect_to(server.port()));
+  for (std::uint64_t id = 1; id <= kArrivals; ++id)
+    ASSERT_TRUE(conn.send_bytes(make_request_bytes(id, id)));
+  ASSERT_TRUE(wait_until(
+      [&] {
+        return server.ledger().requests_decoded.load() == kArrivals + 1;
+      },
+      5000));
+  ASSERT_TRUE(BatcherHold::still_held(server)) << kHoldLost;
+
+  const std::vector<serve::ResponseFrame> responses =
+      conn.read_responses(kArrivals, 30000);
+  ASSERT_EQ(responses.size(), kArrivals);
+  for (const serve::ResponseFrame& r : responses) {
+    EXPECT_EQ(r.status, ErrorCode::kOk);
+    EXPECT_TRUE(paths_bitwise_equal(
+        r.paths, eval.reference[r.request_id % eval.items.size()]))
+        << "request " << r.request_id;
+  }
+  EXPECT_TRUE(hold.blocker_served());
+
+  // Exactly two batches: the blocker alone, then all arrivals together.
+  EXPECT_EQ(server.ledger().batches.load(), 2u);
+  const telemetry::HistogramData sizes =
+      global_histogram("gnntrans_net_batch_size");
+  EXPECT_EQ(sizes.count() - sizes0.count(), 2u);
+  EXPECT_EQ(sizes.sum() - sizes0.sum(), 1.0 + kArrivals);
+  EXPECT_EQ(bucket_count(sizes, 1) - bucket_count(sizes0, 1), 1u);
+  EXPECT_EQ(bucket_count(sizes, 8) - bucket_count(sizes0, 8), 1u);  // 5 <= 8
+  server.stop();
+}
+
+TEST(NetServe, LoneRequestOnIdleServerIsBatchOfOne) {
+  serve::NetServerConfig scfg;  // batch_max 64: nothing waits for peers
+  serve::NetServer server(shared_estimator(), scfg);
+  server.start();
+  const telemetry::HistogramData sizes0 =
+      global_histogram("gnntrans_net_batch_size");
+
+  RawConn conn;
+  ASSERT_TRUE(conn.connect_to(server.port()));
+  ASSERT_TRUE(conn.send_bytes(make_request_bytes(1, 0)));
+  const std::vector<serve::ResponseFrame> responses =
+      conn.read_responses(1, 5000);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, ErrorCode::kOk);
+
+  EXPECT_EQ(server.ledger().batches.load(), 1u);
+  const telemetry::HistogramData sizes =
+      global_histogram("gnntrans_net_batch_size");
+  EXPECT_EQ(sizes.count() - sizes0.count(), 1u);
+  EXPECT_EQ(sizes.sum() - sizes0.sum(), 1.0);
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -1008,7 +1191,6 @@ TEST(NetServeSoak, SurvivesInjectedNetworkFaults) {
 
   serve::NetServerConfig scfg;
   scfg.batch_max = 32;
-  scfg.flush_age_seconds = 1e-3;
   scfg.queue_capacity = 4096;
   // Caching on: the soak's 10k requests cycle over 32 distinct nets, so the
   // bulk of the traffic must be served from the content-addressed cache —

@@ -198,6 +198,11 @@ struct MalformedCase {
   int expect_line;               // line number named in the status
 };
 
+// Print a case as its label. Without this gtest lists the parameter as a raw
+// byte dump of the struct, whose string pointers change with address-space
+// randomisation, so the listed test names would differ from build to build.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.label; }
+
 class SpefMalformed : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(SpefMalformed, ReportsStatusWithLineNumber) {
