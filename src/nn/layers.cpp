@@ -203,11 +203,8 @@ Tensor SelfAttentionLayer::forward(const Tensor& x,
     const Tensor q = tensor::matmul(x, head.wq);  // [N, dk]
     const Tensor k = tensor::matmul(x, head.wk);  // [N, dk]
     const Tensor v = tensor::matmul(x, head.wv);  // [N, dk]
-    // Eq. (2): scaled dot-product attention map.
-    const Tensor scores = tensor::scale(tensor::matmul_nt(q, k), inv_sqrt_dk_);
-    const Tensor attn = mask.empty() ? tensor::softmax_rows(scores)
-                                     : tensor::masked_softmax_rows(scores, mask);
-    outputs.push_back(tensor::matmul(attn, v));
+    // Eq. (2): scaled dot-product attention, fused (no N x N tensor).
+    outputs.push_back(tensor::attention(q, k, v, inv_sqrt_dk_, mask));
   }
   // Eq. (3): residual + W3 over the concatenated heads.
   const Tensor cat = outputs.size() == 1 ? outputs.front() : tensor::concat_cols(outputs);

@@ -395,12 +395,13 @@ void NetServer::connection_loop(const std::shared_ptr<Connection>& conn) {
   // retained /tracez record, and — when slow or degraded — a pinned flight
   // entry whose error field carries the trace id.
   const auto finish_delivery = [&metrics](Connection::Outgoing& msg) {
-    const double write_s = seconds_since(msg.ready);
+    const Clock::time_point sent = Clock::now();
+    const double write_s = std::chrono::duration<double>(sent - msg.ready).count();
     if (msg.admitted != Clock::time_point{}) metrics.stage_write.observe(write_s);
     if (!msg.trace) return;
     telemetry::RequestTrace& rt = *msg.trace;
     rt.write_seconds = write_s;
-    rt.wall_seconds = seconds_since(msg.admitted);
+    rt.wall_seconds = std::chrono::duration<double>(sent - msg.admitted).count();
     telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::global();
     if (recorder.enabled()) {
       const std::int64_t now_ns = recorder.now_ns();
@@ -648,18 +649,19 @@ void NetServer::send_reject(const std::shared_ptr<Connection>& conn,
   reject.status = code;
   reject.provenance = core::EstimateProvenance::kFailed;
   reject.message = message;
-  (void)enqueue_response(conn, encode_response(reject));
+  (void)enqueue_response(conn, encode_response(reject), Clock::now());
 }
 
 bool NetServer::enqueue_response(
     const std::shared_ptr<Connection>& conn, std::string frame,
+    std::chrono::steady_clock::time_point ready,
     std::unique_ptr<telemetry::RequestTrace> trace,
     std::chrono::steady_clock::time_point admitted) {
   Connection::Outgoing msg;
   msg.frame = std::move(frame);
   msg.trace = std::move(trace);
   msg.admitted = admitted;
-  msg.ready = Clock::now();
+  msg.ready = ready;
   {
     std::lock_guard<std::mutex> lock(conn->mutex);
     if (conn->closing) return false;
@@ -812,9 +814,11 @@ void NetServer::batch_loop() {
       // Stage clock: batch wall minus this net's own model time is the wait
       // on peer nets; the split telescopes (queue + batch_wait + model +
       // serialize + write ≈ wall) because adjacent stage boundaries share
-      // clock reads.
+      // clock reads: batch wait ends where serialize starts, and serialize
+      // ends where the write stage starts.
+      const Clock::time_point encode_start = Clock::now();
       const double batch_elapsed =
-          std::chrono::duration<double>(Clock::now() - batch_start).count();
+          std::chrono::duration<double>(encode_start - batch_start).count();
       const double batch_wait =
           std::max(0.0, batch_elapsed - outcomes[i].net_seconds);
       ResponseFrame response;
@@ -824,9 +828,10 @@ void NetServer::batch_loop() {
       response.provenance = outcomes[i].provenance;
       response.message = outcomes[i].message;
       response.paths = results[i];
-      const Clock::time_point encode_start = Clock::now();
       std::string frame = encode_response(response);
-      const double serialize = seconds_since(encode_start);
+      const Clock::time_point encoded = Clock::now();
+      const double serialize =
+          std::chrono::duration<double>(encoded - encode_start).count();
       metrics.stage_batch_wait.observe(batch_wait);
       metrics.stage_model.observe(outcomes[i].net_seconds);
       metrics.stage_serialize.observe(serialize);
@@ -854,7 +859,7 @@ void NetServer::batch_loop() {
         trace->degraded =
             outcomes[i].provenance != core::EstimateProvenance::kModel;
       }
-      if (enqueue_response(pending.conn, std::move(frame), std::move(trace),
+      if (enqueue_response(pending.conn, std::move(frame), encoded, std::move(trace),
                            pending.enqueued)) {
         ledger_.served.fetch_add(1, std::memory_order_relaxed);
         metrics.served.inc();

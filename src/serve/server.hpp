@@ -202,12 +202,14 @@ class NetServer {
                    core::ErrorCode code, const std::string& message);
 
   /// Queues an encoded frame on \p conn's outbox and wakes its thread.
-  /// Returns false when the connection is already closing. \p trace, when
-  /// set, is the partially-filled stage breakdown of a head-sampled request;
-  /// the connection thread finalizes it (write stage + wall from
+  /// Returns false when the connection is already closing. \p ready starts
+  /// the write stage (the caller's end-of-serialize clock read). \p trace,
+  /// when set, is the partially-filled stage breakdown of a head-sampled
+  /// request; the connection thread finalizes it (write stage + wall from
   /// \p admitted) after the socket write succeeds.
   bool enqueue_response(
       const std::shared_ptr<Connection>& conn, std::string frame,
+      std::chrono::steady_clock::time_point ready,
       std::unique_ptr<telemetry::RequestTrace> trace = nullptr,
       std::chrono::steady_clock::time_point admitted = {});
 

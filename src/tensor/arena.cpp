@@ -80,4 +80,15 @@ ScratchArena::Scope::Scope(ScratchArena& arena)
 
 ScratchArena::Scope::~Scope() { detail::g_active = std::move(previous_); }
 
+ScratchBuffer::ScratchBuffer(std::size_t n) : state_(detail::active_arena()) {
+  if (state_)
+    values_ = detail::acquire_values(state_, n);
+  else
+    values_.assign(n, 0.0f);
+}
+
+ScratchBuffer::~ScratchBuffer() {
+  if (state_) detail::release_values(state_, std::move(values_));
+}
+
 }  // namespace gnntrans::tensor

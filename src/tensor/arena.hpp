@@ -70,6 +70,24 @@ class ScratchArena {
   std::shared_ptr<detail::ArenaState> state_;
 };
 
+/// An op's internal scratch: a zeroed buffer of floats drawn from this
+/// thread's active arena and parked back in it on destruction, or a plain heap
+/// buffer when no arena is active. Lets a kernel keep row buffers out of the
+/// per-call heap path without becoming a tensor on the tape.
+class ScratchBuffer {
+ public:
+  explicit ScratchBuffer(std::size_t n);
+  ~ScratchBuffer();
+  ScratchBuffer(const ScratchBuffer&) = delete;
+  ScratchBuffer& operator=(const ScratchBuffer&) = delete;
+
+  [[nodiscard]] float* data() noexcept { return values_.data(); }
+
+ private:
+  std::shared_ptr<detail::ArenaState> state_;
+  std::vector<float> values_;
+};
+
 namespace detail {
 
 /// Arena installed on this thread (null when none). Read by tensor.cpp on

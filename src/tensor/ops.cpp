@@ -129,19 +129,22 @@ Tensor spmm(const GraphMatrix& m, const Tensor& x) {
   require(m.cols == x.rows(), "spmm shape mismatch");
   const std::size_t d = x.cols();
   Impl ix = x.impl();
-  // The structure matrix is captured by value: nets are immutable per sample.
-  GraphMatrix mc = m;
+  std::vector<Impl> parents{ix};
+  // The structure matrix is captured by value (nets are immutable per sample),
+  // and only when the backward is recorded.
+  GraphMatrix mc = records_backward(parents) ? m : GraphMatrix{};
 
-  Tensor out = make_op_result(m.rows, d, {ix}, [ix, mc, d](const TensorImpl& self) {
-    if (!ix->requires_grad) return;
-    ix->ensure_grad();
-    for (std::size_t k = 0; k < mc.nnz(); ++k) {
-      const std::size_t r = mc.row_index[k], c = mc.col_index[k];
-      const float v = mc.values[k];
-      for (std::size_t j = 0; j < d; ++j)
-        ix->grad[c * d + j] += v * self.grad[r * d + j];
-    }
-  });
+  Tensor out =
+      make_op_result(m.rows, d, std::move(parents), [ix, mc, d](const TensorImpl& self) {
+        if (!ix->requires_grad) return;
+        ix->ensure_grad();
+        for (std::size_t k = 0; k < mc.nnz(); ++k) {
+          const std::size_t r = mc.row_index[k], c = mc.col_index[k];
+          const float v = mc.values[k];
+          for (std::size_t j = 0; j < d; ++j)
+            ix->grad[c * d + j] += v * self.grad[r * d + j];
+        }
+      });
 
   for (std::size_t k = 0; k < m.nnz(); ++k) {
     const std::size_t r = m.row_index[k], c = m.col_index[k];
@@ -309,10 +312,13 @@ Tensor softmax_impl(const Tensor& a, const std::vector<std::uint8_t>* mask) {
   const std::size_t n = a.rows(), m = a.cols();
   if (mask) require(mask->size() == n * m, "mask size mismatch");
   Impl ia = a.impl();
-  std::vector<std::uint8_t> mask_copy = mask ? *mask : std::vector<std::uint8_t>{};
+  std::vector<Impl> parents{ia};
+  // The backward reads the mask, so it is copied only when one is recorded.
+  std::vector<std::uint8_t> mask_copy =
+      mask && records_backward(parents) ? *mask : std::vector<std::uint8_t>{};
 
-  Tensor out =
-      make_op_result(n, m, {ia}, [ia, n, m, mask_copy](const TensorImpl& self) {
+  Tensor out = make_op_result(
+      n, m, std::move(parents), [ia, n, m, mask_copy](const TensorImpl& self) {
         if (!ia->requires_grad) return;
         ia->ensure_grad();
         for (std::size_t r = 0; r < n; ++r) {

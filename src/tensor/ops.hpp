@@ -40,7 +40,7 @@ struct GraphMatrix {
 
 /// C = A @ B.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
-/// C = A @ B^T (used by attention scores).
+/// C = A @ B^T (attention scores in the unfused chain attention() replaces).
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// Transposed copy.
 [[nodiscard]] Tensor transpose(const Tensor& a);
@@ -77,6 +77,18 @@ struct GraphMatrix {
 /// output 0. Rows that are fully masked output all zeros.
 [[nodiscard]] Tensor masked_softmax_rows(const Tensor& a,
                                          const std::vector<std::uint8_t>& mask);
+
+// ---- Attention ----
+
+/// Scaled dot-product attention, softmax(s * q k^T) v, for q [N,dk], k [M,dk]
+/// and v [M,dv]; \p mask empty = every query attends to every key, otherwise
+/// an N*M mask as in masked_softmax_rows (fully masked rows output zeros).
+/// Fused: streams one query row at a time with O(M*dk) scratch, no N*M tensor on
+/// the inference path, and bitwise equal — outputs and gradients — to
+///   matmul(masked_softmax_rows(scale(matmul_nt(q, k), s), mask), v).
+/// When the result records a backward it stashes the N*M attention matrix.
+[[nodiscard]] Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                               float scale, const std::vector<std::uint8_t>& mask);
 
 // ---- Shape ----
 

@@ -62,16 +62,18 @@ Tensor Tensor::from_data(std::vector<float> data, std::size_t rows,
   return t;
 }
 
+bool records_backward(
+    const std::vector<std::shared_ptr<TensorImpl>>& parents) noexcept {
+  return grad_enabled() &&
+         std::any_of(parents.begin(), parents.end(),
+                     [](const auto& p) { return p->requires_grad; });
+}
+
 Tensor make_op_result(std::size_t rows, std::size_t cols,
                       std::vector<std::shared_ptr<TensorImpl>> parents,
                       std::function<void(const TensorImpl&)> backward_fn) {
   auto impl = new_impl(rows, cols);
-
-  const bool any_grad =
-      grad_enabled() &&
-      std::any_of(parents.begin(), parents.end(),
-                  [](const auto& p) { return p->requires_grad; });
-  if (any_grad) {
+  if (records_backward(parents)) {
     impl->requires_grad = true;
     impl->parents = std::move(parents);
     impl->backward_fn = std::move(backward_fn);

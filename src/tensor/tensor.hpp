@@ -123,6 +123,12 @@ class Tensor {
   std::shared_ptr<TensorImpl> impl_;
 };
 
+/// True when an op result over \p parents records a backward: autograd is on
+/// for this thread and some parent requires grad. make_op_result keeps its
+/// closure exactly then, so ops test this before copying anything into one.
+[[nodiscard]] bool records_backward(
+    const std::vector<std::shared_ptr<TensorImpl>>& parents) noexcept;
+
 /// Creates a tape node for an op result. When autograd is disabled or no
 /// parent requires grad, the node is a plain leaf.
 [[nodiscard]] Tensor make_op_result(

@@ -3,10 +3,13 @@
 // for training correctness: any backward-formula bug fails here.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <random>
+#include <string>
 
+#include "attention_oracle.hpp"
 #include "nn/layers.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
@@ -149,6 +152,26 @@ TEST(GradCheck, MaskedSoftmaxRows) {
   const std::vector<std::uint8_t> mask{1, 1, 0, 1,  0, 1, 1, 0,  1, 0, 0, 1};
   check_gradients([&] { return sum_all(mul(masked_softmax_rows(a, mask), w)); },
                   {a}, 5e-3f);
+}
+
+TEST(GradCheck, Attention) {
+  std::mt19937_64 rng(27);
+  Tensor q = rand_tensor(5, 3, rng), k = rand_tensor(5, 3, rng),
+         v = rand_tensor(5, 2, rng);
+  Tensor w = rand_tensor(5, 2, rng, /*grad=*/false);
+  check_gradients([&] { return sum_all(mul(attention(q, k, v, 0.8f, {}), w)); },
+                  {q, k, v}, 5e-3f);
+}
+
+TEST(GradCheck, MaskedAttention) {
+  std::mt19937_64 rng(28);
+  Tensor q = rand_tensor(3, 2, rng), k = rand_tensor(4, 2, rng),
+         v = rand_tensor(4, 3, rng);
+  Tensor w = rand_tensor(3, 3, rng, /*grad=*/false);
+  // Row 1 is fully masked.
+  const std::vector<std::uint8_t> mask{1, 0, 1, 1,  0, 0, 0, 0,  0, 1, 1, 0};
+  check_gradients([&] { return sum_all(mul(attention(q, k, v, 0.8f, mask), w)); },
+                  {q, k, v}, 5e-3f);
 }
 
 TEST(GradCheck, ConcatCols) {
@@ -319,6 +342,133 @@ TEST(GradCheck, FeedForward) {
         return sum_all(mul(y, y));
       },
       params, 1e-2f, 3e-2f);
+}
+
+// ---- Fused attention: gradients bitwise equal to the unfused chain ----
+
+namespace oracle = attention_oracle;
+
+using AttentionFn = std::function<Tensor(const Tensor&, const Tensor&, const Tensor&,
+                                         float, const std::vector<std::uint8_t>&)>;
+
+/// Backpropagates sum(f(q, k, v) * w) and returns the grads of q, k and v
+/// (empty for an input that does not require grad); clears them afterwards.
+std::vector<std::vector<float>> qkv_grads(const AttentionFn& f, Tensor q, Tensor k,
+                                          Tensor v, float s,
+                                          const std::vector<std::uint8_t>& mask,
+                                          const Tensor& w) {
+  Tensor loss = sum_all(mul(f(q, k, v, s, mask), w));
+  loss.backward();
+  std::vector<std::vector<float>> grads;
+  for (Tensor* t : {&q, &k, &v}) {
+    grads.emplace_back(t->grad().begin(), t->grad().end());
+    t->zero_grad();
+  }
+  return grads;
+}
+
+/// Fused and chain gradients for one case, with the inputs flagged in
+/// \p needs_grad requiring grad.
+void expect_grads_bitwise(std::size_t n, std::size_t dk, std::size_t dv, bool masked,
+                          std::array<bool, 3> needs_grad, float s, std::mt19937_64& rng) {
+  Tensor q = oracle::uniform(n, dk, -1.5f, 1.5f, rng, needs_grad[0]);
+  Tensor k = oracle::uniform(n, dk, -1.5f, 1.5f, rng, needs_grad[1]);
+  Tensor v = oracle::uniform(n, dv, -1.0f, 1.0f, rng, needs_grad[2]);
+  const Tensor w = oracle::uniform(n, dv, -1.0f, 1.0f, rng);
+  const std::vector<std::uint8_t> mask =
+      masked ? oracle::random_mask(n, n, rng) : std::vector<std::uint8_t>{};
+  // The recorded forward must match too: it is the path training runs.
+  EXPECT_TRUE(oracle::bitwise_equal(attention(q, k, v, s, mask).values(),
+                                    oracle::chain(q, k, v, s, mask).values()));
+  const auto fused = qkv_grads(attention, q, k, v, s, mask, w);
+  const auto chain = qkv_grads(oracle::chain, q, k, v, s, mask, w);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(fused[i].empty(), !needs_grad[i]);
+    EXPECT_TRUE(oracle::bitwise_equal(fused[i], chain[i]))
+        << "grad of " << "qkv"[i] << ", N=" << n << " dk=" << dk << " dv=" << dv
+        << (masked ? " masked" : " global");
+  }
+}
+
+TEST(AttentionGrad, QkvGradientsBitwiseEqualChain) {
+  std::mt19937_64 rng(51);
+  for (const std::size_t n : oracle::kSizes)
+    for (const std::size_t dk : oracle::kWidths)
+      for (const std::size_t dv : oracle::kWidths)
+        for (const bool masked : {false, true})
+          expect_grads_bitwise(n, dk, dv, masked, {true, true, true},
+                               1.0f / std::sqrt(static_cast<float>(dk)), rng);
+}
+
+TEST(AttentionGrad, UnderflowedWeightsBitwiseEqualChain) {
+  // At this scale most attention weights underflow to 0 or to subnormals.
+  std::mt19937_64 rng(54);
+  for (const std::size_t n : oracle::kSizes)
+    for (const bool masked : {false, true})
+      expect_grads_bitwise(n, 4, 3, masked, {true, true, true}, 300.0f, rng);
+}
+
+TEST(AttentionGrad, PartialRequiresGradBitwiseEqualChain) {
+  std::mt19937_64 rng(52);
+  for (const std::size_t n : {1, 5, 40})
+    for (const bool masked : {false, true})
+      for (const std::array<bool, 3> needs :
+           {std::array{true, false, false}, std::array{false, true, false},
+            std::array{false, false, true}, std::array{false, true, true}})
+        expect_grads_bitwise(n, 3, 4, masked, needs, 0.6f, rng);
+}
+
+TEST(AttentionGrad, LayerParameterGradientsBitwiseEqualChain) {
+  // SelfAttentionLayer at the CLI's shape (dim 16, 4 heads) against the same
+  // parameters wired through the unfused chain, as the layer was before the
+  // fused op. The input's gradient collects from the residual and from every
+  // head's q, k and v projections, so it also pins the tape's accumulation
+  // order.
+  for (const std::size_t n : {1, 5, 40, 127})
+    for (const bool masked : {false, true}) {
+      std::mt19937_64 rng(53 + n);
+      const std::size_t dim = 16, heads = 4;
+      gnntrans::nn::SelfAttentionLayer layer(dim, heads, rng);
+      std::vector<Tensor> params;
+      layer.collect_parameters(params);
+      Tensor x = oracle::uniform(n, dim, -1.0f, 1.0f, rng, /*requires_grad=*/true);
+      const Tensor w = oracle::uniform(n, dim, -1.0f, 1.0f, rng);
+      const std::vector<std::uint8_t> mask =
+          masked ? oracle::random_mask(n, n, rng) : std::vector<std::uint8_t>{};
+
+      const auto chain_forward = [&] {
+        const float s = 1.0f / std::sqrt(static_cast<float>(dim / heads));
+        std::vector<Tensor> outputs;
+        for (std::size_t h = 0; h < heads; ++h)
+          outputs.push_back(oracle::chain(matmul(x, params[3 * h]),
+                                          matmul(x, params[3 * h + 1]),
+                                          matmul(x, params[3 * h + 2]), s, mask));
+        return add(x, matmul(concat_cols(outputs), params.back()));
+      };
+      const auto grads = [&](const Tensor& y) {
+        Tensor loss = sum_all(mul(y, w));
+        loss.backward();
+        std::vector<std::vector<float>> out;
+        for (Tensor& t : params) {
+          out.emplace_back(t.grad().begin(), t.grad().end());
+          t.zero_grad();
+        }
+        out.emplace_back(x.grad().begin(), x.grad().end());
+        x.zero_grad();
+        return out;
+      };
+
+      const Tensor fused_y = layer.forward(x, mask);
+      const Tensor chain_y = chain_forward();
+      EXPECT_TRUE(oracle::bitwise_equal(fused_y.values(), chain_y.values()));
+      const auto fused = grads(fused_y);
+      const auto chain = grads(chain_y);
+      ASSERT_EQ(fused.size(), chain.size());
+      for (std::size_t i = 0; i < fused.size(); ++i)
+        EXPECT_TRUE(oracle::bitwise_equal(fused[i], chain[i]))
+            << (i + 1 == fused.size() ? "input" : "parameter " + std::to_string(i))
+            << ", N=" << n << (masked ? " masked" : " global");
+    }
 }
 
 }  // namespace

@@ -1065,8 +1065,12 @@ TEST(NetServe, GracefulDrainServesQueuedAndRejectsNew) {
   ASSERT_TRUE(BatcherHold::still_held(server)) << kHoldLost;
 
   std::thread stopper([&] { server.stop(); });
-  // Give stop() a beat to set draining, then poke it with new requests: every
-  // one that still reaches admission must get a typed kShuttingDown.
+  // Wait until stop() has begun (running() drops just before admission
+  // closes) and give it a beat to set draining, then poke it with new
+  // requests: every one that still reaches admission must get a typed
+  // kShuttingDown. A fixed sleep alone lost that race on a loaded host: the
+  // stopper had not run yet, so a poke was admitted and served.
+  EXPECT_TRUE(wait_until([&] { return !server.running(); }, 5000));
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
   for (std::uint64_t i = 0; i < 200; ++i) {
     if (!conn.send_bytes(make_request_bytes(1000 + i, i))) break;

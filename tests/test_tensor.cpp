@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <sstream>
 
+#include "attention_oracle.hpp"
+#include "tensor/arena.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/optim.hpp"
@@ -131,6 +134,117 @@ TEST(Ops, MaskedSoftmaxZerosMaskedEntries) {
   EXPECT_NEAR(y(0, 0) + y(0, 2), 1.0f, 1e-6);
   // Fully masked row stays zero.
   for (std::size_t c = 0; c < 3; ++c) EXPECT_FLOAT_EQ(y(1, c), 0.0f);
+}
+
+// ---- Fused attention: forward bitwise equal to the unfused chain ----
+
+namespace oracle = attention_oracle;
+
+/// Runs fused and chain on one case under NoGradGuard (the inference path)
+/// and expects identical bits.
+void expect_forward_bitwise(const Tensor& q, const Tensor& k, const Tensor& v, float s,
+                            const std::vector<std::uint8_t>& mask) {
+  NoGradGuard guard;
+  const Tensor fused = attention(q, k, v, s, mask);
+  const Tensor chain = oracle::chain(q, k, v, s, mask);
+  EXPECT_TRUE(oracle::bitwise_equal(fused.values(), chain.values()))
+      << "N=" << q.rows() << " dk=" << q.cols() << " dv=" << v.cols()
+      << (mask.empty() ? " global" : " masked");
+}
+
+TEST(Attention, ForwardBitwiseEqualsUnfusedChain) {
+  std::mt19937_64 rng(41);
+  for (const std::size_t n : oracle::kSizes)
+    for (const std::size_t dk : oracle::kWidths)
+      for (const std::size_t dv : oracle::kWidths) {
+        const Tensor q = oracle::uniform(n, dk, -1.5f, 1.5f, rng);
+        const Tensor k = oracle::uniform(n, dk, -1.5f, 1.5f, rng);
+        const Tensor v = oracle::uniform(n, dv, -1.0f, 1.0f, rng);
+        const float s = 1.0f / std::sqrt(static_cast<float>(dk));
+        expect_forward_bitwise(q, k, v, s, {});
+        expect_forward_bitwise(q, k, v, s, oracle::random_mask(n, n, rng));
+        expect_forward_bitwise(q, k, v, s, std::vector<std::uint8_t>(n * n, 0));
+      }
+}
+
+TEST(Attention, UnderflowedWeightsSignedZerosAndInfBitwise) {
+  // A large scale spreads each score row over hundreds of units, so most
+  // weights underflow to exactly 0 (or to subnormals). V mixes +0, -0, tiny
+  // values and +inf: an inf behind a zero weight is what the zero-weight skip
+  // keeps out of the output (0 * inf is NaN). One V column is all -0, where
+  // only the +0 start of each accumulator fixes the output's sign.
+  std::mt19937_64 rng(42);
+  std::size_t zero_weights = 0;
+  for (const std::size_t n : oracle::kSizes)
+    for (const std::size_t dk : oracle::kWidths)
+      for (const std::size_t dv : oracle::kWidths) {
+        const Tensor q = oracle::uniform(n, dk, -1.0f, 1.0f, rng);
+        const Tensor k = oracle::uniform(n, dk, -1.0f, 1.0f, rng);
+        Tensor v = oracle::uniform(n, dv, -1.0f, 1.0f, rng);
+        const float pick[] = {0.0f, -0.0f, 1e-30f, -1e-30f,
+                              std::numeric_limits<float>::infinity()};
+        std::uniform_int_distribution<int> which(0, 9);
+        for (std::size_t i = 0; i < v.size(); ++i) {
+          const int w = which(rng);
+          if (i % dv == dv - 1)
+            v.values()[i] = -0.0f;
+          else if (w < 5)
+            v.values()[i] = pick[w];
+        }
+        const float s = 300.0f;
+        expect_forward_bitwise(q, k, v, s, {});
+        expect_forward_bitwise(q, k, v, s, oracle::random_mask(n, n, rng));
+        NoGradGuard guard;
+        const Tensor weights = softmax_rows(scale(matmul_nt(q, k), s));
+        for (const float w : weights.values()) zero_weights += w == 0.0f ? 1 : 0;
+      }
+  EXPECT_GT(zero_weights, 10000u) << "the sweep no longer produces underflowed weights";
+}
+
+TEST(Attention, InferenceScratchComesFromTheArenaAndIsLinear) {
+  // Under an arena scope the op draws two buffers, its output and one O(N)
+  // scratch block, and its high-water mark stays far below one N x N matrix;
+  // the unfused chain peaks above two of them.
+  std::mt19937_64 rng(43);
+  const std::size_t n = 300, d = 4;
+  const Tensor q = oracle::uniform(n, d, -1.0f, 1.0f, rng);
+  const Tensor k = oracle::uniform(n, d, -1.0f, 1.0f, rng);
+  const Tensor v = oracle::uniform(n, d, -1.0f, 1.0f, rng);
+  const std::size_t nxn_bytes = n * n * sizeof(float);
+  ScratchArena fused_arena, chain_arena;
+  {
+    ScratchArena::Scope scope(fused_arena);
+    NoGradGuard guard;
+    const Tensor out = attention(q, k, v, 0.5f, {});
+  }
+  {
+    ScratchArena::Scope scope(chain_arena);
+    NoGradGuard guard;
+    const Tensor out = oracle::chain(q, k, v, 0.5f, {});
+  }
+  const ScratchArena::Stats fused = fused_arena.stats();
+  EXPECT_EQ(fused.allocated + fused.reused, 2u);
+  EXPECT_LT(fused.peak_bytes, nxn_bytes / 8);
+  EXPECT_GT(chain_arena.stats().peak_bytes, 2 * nxn_bytes);
+}
+
+TEST(Attention, ShapeAndMaskMismatchThrow) {
+  const Tensor q(3, 2), k(4, 2), v(4, 5), bad_k(4, 3), bad_v(3, 5);
+  EXPECT_EQ(attention(q, k, v, 1.0f, {}).rows(), 3u);
+  EXPECT_EQ(attention(q, k, v, 1.0f, {}).cols(), 5u);
+  EXPECT_THROW((void)attention(q, bad_k, v, 1.0f, {}), std::invalid_argument);
+  EXPECT_THROW((void)attention(q, k, bad_v, 1.0f, {}), std::invalid_argument);
+  EXPECT_THROW((void)attention(q, k, v, 1.0f, std::vector<std::uint8_t>(9, 1)),
+               std::invalid_argument);
+}
+
+TEST(Attention, NonSquareForwardBitwise) {
+  std::mt19937_64 rng(44);
+  const Tensor q = oracle::uniform(7, 3, -1.0f, 1.0f, rng);
+  const Tensor k = oracle::uniform(10, 3, -1.0f, 1.0f, rng);
+  const Tensor v = oracle::uniform(10, 5, -1.0f, 1.0f, rng);
+  expect_forward_bitwise(q, k, v, 0.7f, {});
+  expect_forward_bitwise(q, k, v, 0.7f, oracle::random_mask(7, 10, rng));
 }
 
 TEST(Ops, ConcatColsLayout) {
