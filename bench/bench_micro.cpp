@@ -41,13 +41,30 @@ void BM_MomentsMna(benchmark::State& state) {
 }
 BENCHMARK(BM_MomentsMna)->Arg(16)->Arg(40)->Arg(80)->Arg(160);
 
+/// compute_moments on a tree (loops == 0) or a net with loop resistors.
+void moments_bench(benchmark::State& state, double non_tree_fraction) {
+  std::mt19937_64 rng(10);
+  rcnet::NetGenConfig cfg;
+  cfg.min_nodes = cfg.max_nodes = static_cast<std::uint32_t>(state.range(0));
+  cfg.non_tree_fraction = non_tree_fraction;
+  const rcnet::RcNet net = rcnet::generate_net(cfg, rng, "m");
+  for (auto _ : state) benchmark::DoNotOptimize(sim::compute_moments(net));
+  state.SetLabel(std::to_string(net.resistors.size() + 1 - net.node_count()) +
+                 " loops");
+}
+void BM_MomentsTree(benchmark::State& state) { moments_bench(state, 0.0); }
+void BM_MomentsLoop(benchmark::State& state) { moments_bench(state, 1.0); }
+BENCHMARK(BM_MomentsTree)->Arg(16)->Arg(40)->Arg(80)->Arg(160)->Arg(300);
+BENCHMARK(BM_MomentsLoop)->Arg(16)->Arg(40)->Arg(80)->Arg(160)->Arg(300);
+
+/// Elmore delay of a tree net: compute_moments' m1 is the tree path tracing.
 void BM_ElmoreTree(benchmark::State& state) {
   std::mt19937_64 rng(10);
   rcnet::NetGenConfig cfg;
   cfg.min_nodes = cfg.max_nodes = static_cast<std::uint32_t>(state.range(0));
   cfg.non_tree_fraction = 0.0;
   const rcnet::RcNet net = rcnet::generate_net(cfg, rng, "t");
-  for (auto _ : state) benchmark::DoNotOptimize(sim::elmore_tree(net));
+  for (auto _ : state) benchmark::DoNotOptimize(sim::compute_moments(net).m1);
 }
 BENCHMARK(BM_ElmoreTree)->Arg(40)->Arg(160);
 

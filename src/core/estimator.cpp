@@ -252,6 +252,7 @@ WireTimingEstimator WireTimingEstimator::train(
   options.model.node_feature_dim = features::kNodeFeatureCount;
   options.model.path_feature_dim = features::kPathFeatureCount;
   est.model_ = nn::make_model(options.kind, options.model);
+  est.standardizer_.set_operators(est.model_->operators());
 
   const std::vector<nn::GraphSample> samples =
       features::make_samples(records, est.standardizer_);
@@ -699,6 +700,7 @@ WireTimingEstimator WireTimingEstimator::load(std::istream& in) {
   WireTimingEstimator est;
   est.standardizer_.load(in);
   est.model_ = nn::load_model(in);
+  est.standardizer_.set_operators(est.model_->operators());
   if (version >= 2) est.baseline_.load(in);  // v1: no drift profile
   return est;
 }

@@ -103,53 +103,65 @@ double Standardizer::unstandardize_delay(double z) const noexcept {
 
 namespace {
 
-/// Builds all aggregation operators of a net for the model zoo.
+/// Builds the aggregation operators in \p ops of a net for the model zoo.
 void build_graph_operators(const rcnet::RcNet& net,
-                           const sim::WireAnalysis& analysis,
+                           const sim::WireAnalysis& analysis, nn::OperatorSet ops,
                            nn::GraphSample& sample) {
   const std::size_t n = net.node_count();
-  const rcnet::Adjacency adj = rcnet::build_adjacency(net);
+  const rcnet::Adjacency adj = (ops & ~nn::kPathPool) ? rcnet::build_adjacency(net)
+                                                      : rcnet::Adjacency();
 
   // Eq. (1): resistance-valued adjacency, row-normalized for stability.
-  sample.weighted_adj = tensor::GraphMatrix(n, n);
+  if (ops & nn::kWeightedAdj) {
+    sample.weighted_adj = tensor::GraphMatrix(n, n);
+    for (NodeId v = 0; v < n; ++v)
+      for (const rcnet::Neighbor& nb : adj[v])
+        sample.weighted_adj.add(
+            v, nb.node, static_cast<float>(net.resistors[nb.resistor_index].ohms));
+    sample.weighted_adj.row_normalize();
+  }
+
   // GraphSage-classic: mean over neighbors.
-  sample.mean_adj = tensor::GraphMatrix(n, n);
-  for (NodeId v = 0; v < n; ++v) {
-    const float inv_deg =
-        adj[v].empty() ? 0.0f : 1.0f / static_cast<float>(adj[v].size());
-    for (const rcnet::Neighbor& nb : adj[v]) {
-      sample.weighted_adj.add(v, nb.node,
-                              static_cast<float>(net.resistors[nb.resistor_index].ohms));
-      sample.mean_adj.add(v, nb.node, inv_deg);
+  if (ops & nn::kMeanAdj) {
+    sample.mean_adj = tensor::GraphMatrix(n, n);
+    for (NodeId v = 0; v < n; ++v) {
+      const float inv_deg =
+          adj[v].empty() ? 0.0f : 1.0f / static_cast<float>(adj[v].size());
+      for (const rcnet::Neighbor& nb : adj[v]) sample.mean_adj.add(v, nb.node, inv_deg);
     }
   }
-  sample.weighted_adj.row_normalize();
 
   // GCNII: D^{-1/2} (A + I) D^{-1/2} over the binary graph with self loops.
-  sample.gcnii_adj = tensor::GraphMatrix(n, n);
-  std::vector<float> inv_sqrt_deg(n);
-  for (NodeId v = 0; v < n; ++v)
-    inv_sqrt_deg[v] = 1.0f / std::sqrt(static_cast<float>(adj[v].size() + 1));
-  for (NodeId v = 0; v < n; ++v) {
-    sample.gcnii_adj.add(v, v, inv_sqrt_deg[v] * inv_sqrt_deg[v]);
-    for (const rcnet::Neighbor& nb : adj[v])
-      sample.gcnii_adj.add(v, nb.node, inv_sqrt_deg[v] * inv_sqrt_deg[nb.node]);
+  if (ops & nn::kGcniiAdj) {
+    sample.gcnii_adj = tensor::GraphMatrix(n, n);
+    std::vector<float> inv_sqrt_deg(n);
+    for (NodeId v = 0; v < n; ++v)
+      inv_sqrt_deg[v] = 1.0f / std::sqrt(static_cast<float>(adj[v].size() + 1));
+    for (NodeId v = 0; v < n; ++v) {
+      sample.gcnii_adj.add(v, v, inv_sqrt_deg[v] * inv_sqrt_deg[v]);
+      for (const rcnet::Neighbor& nb : adj[v])
+        sample.gcnii_adj.add(v, nb.node, inv_sqrt_deg[v] * inv_sqrt_deg[nb.node]);
+    }
   }
 
   // Neighbor mask with self loops for masked attention.
-  sample.attn_mask.assign(n * n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    sample.attn_mask[v * n + v] = 1;
-    for (const rcnet::Neighbor& nb : adj[v]) sample.attn_mask[v * n + nb.node] = 1;
+  if (ops & nn::kAttnMask) {
+    sample.attn_mask.assign(n * n, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      sample.attn_mask[v * n + v] = 1;
+      for (const rcnet::Neighbor& nb : adj[v]) sample.attn_mask[v * n + nb.node] = 1;
+    }
   }
 
   // Eq. (4) pooling matrix: mean over each path's nodes.
-  const std::size_t p = analysis.paths.size();
-  sample.path_pool = tensor::GraphMatrix(p, n);
-  for (std::size_t q = 0; q < p; ++q) {
-    const auto& nodes = analysis.paths[q].nodes;
-    const float w = 1.0f / static_cast<float>(nodes.size());
-    for (NodeId v : nodes) sample.path_pool.add(static_cast<std::uint32_t>(q), v, w);
+  if (ops & nn::kPathPool) {
+    const std::size_t p = analysis.paths.size();
+    sample.path_pool = tensor::GraphMatrix(p, n);
+    for (std::size_t q = 0; q < p; ++q) {
+      const auto& nodes = analysis.paths[q].nodes;
+      const float w = 1.0f / static_cast<float>(nodes.size());
+      for (NodeId v : nodes) sample.path_pool.add(static_cast<std::uint32_t>(q), v, w);
+    }
   }
 }
 
@@ -180,7 +192,7 @@ nn::GraphSample Standardizer::make_sample(const WireRecord& record) const {
   sample.h =
       tensor::Tensor::from_data(std::move(h), sample.path_count, kPathFeatureCount);
 
-  build_graph_operators(record.net, record.raw.analysis, sample);
+  build_graph_operators(record.net, record.raw.analysis, operators_, sample);
 
   // Labels.
   std::vector<float> slew_z(sample.path_count), delay_z(sample.path_count);

@@ -43,8 +43,15 @@ class Standardizer {
   /// (zero variance) get std 1 so they pass through unchanged.
   void fit(const std::vector<WireRecord>& records);
 
-  /// Builds the standardized GraphSample of one record (fit() must have run).
+  /// Builds the standardized GraphSample of one record (fit() must have run),
+  /// with the graph operators in operators() and no others.
   [[nodiscard]] nn::GraphSample make_sample(const WireRecord& record) const;
+
+  /// The graph operators make_sample builds: all of them by default.
+  /// WireTimingEstimator narrows this to what its model reads
+  /// (nn::WireModel::operators()). Not serialized.
+  [[nodiscard]] nn::OperatorSet operators() const noexcept { return operators_; }
+  void set_operators(nn::OperatorSet operators) noexcept { operators_ = operators; }
 
   /// Label space conversions (seconds <-> standardized units).
   [[nodiscard]] double standardize_slew(double seconds) const noexcept;
@@ -62,6 +69,7 @@ class Standardizer {
   std::vector<double> h_mean_, h_std_;
   double slew_mean_ = 0.0, slew_std_ = 1.0;
   double delay_mean_ = 0.0, delay_std_ = 1.0;
+  nn::OperatorSet operators_ = nn::kAllOperators;
 };
 
 /// Configuration of a standalone-net dataset (Tables III/IV protocol).

@@ -4,7 +4,8 @@
 /// A sample bundles the node feature matrix X, path feature matrix H, the
 /// weighted adjacency in the aggregation forms each model family consumes,
 /// the per-path pooling operator, and standardized labels. Built by
-/// features::build_sample(); consumed by every model in models.hpp.
+/// features::Standardizer::make_sample(); consumed by every model in
+/// models.hpp.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,20 @@
 #include "tensor/tensor.hpp"
 
 namespace gnntrans::nn {
+
+/// The graph operators a GraphSample can carry, as bit flags. Each model
+/// declares the ones it reads (WireModel::operators()); a sample built for
+/// that model carries only those, and the others stay empty.
+enum GraphOperator : std::uint32_t {
+  kWeightedAdj = 1u << 0,
+  kMeanAdj = 1u << 1,
+  kGcniiAdj = 1u << 2,
+  kAttnMask = 1u << 3,
+  kPathPool = 1u << 4,
+};
+using OperatorSet = std::uint32_t;
+inline constexpr OperatorSet kAllOperators =
+    kWeightedAdj | kMeanAdj | kGcniiAdj | kAttnMask | kPathPool;
 
 /// One net as a training/inference sample.
 struct GraphSample {

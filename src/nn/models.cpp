@@ -27,8 +27,36 @@ std::size_t WireModel::parameter_count() const {
   return total;
 }
 
+OperatorSet WireModel::operators() const {
+  switch (kind()) {
+    case ModelKind::kGnnTrans:
+      return (config_.use_edge_weights ? kWeightedAdj : kMeanAdj) |
+             (config_.global_attention ? 0u : kAttnMask) | kPathPool;
+    case ModelKind::kGraphSage: return kMeanAdj | kPathPool;
+    case ModelKind::kGcnii: return kGcniiAdj | kPathPool;
+    case ModelKind::kGat:
+    case ModelKind::kGraphTransformer: return kAttnMask | kPathPool;
+  }
+  return kAllOperators;
+}
+
 WirePrediction WireModel::forward(const GraphSample& sample,
                                   Workspace* workspace) const {
+  const OperatorSet need = operators();
+  const std::size_t n = sample.node_count;
+  auto square = [n](const tensor::GraphMatrix& m) { return m.rows == n && m.cols == n; };
+  const char* missing = nullptr;
+  if ((need & kWeightedAdj) && !square(sample.weighted_adj)) missing = "weighted_adj";
+  if ((need & kMeanAdj) && !square(sample.mean_adj)) missing = "mean_adj";
+  if ((need & kGcniiAdj) && !square(sample.gcnii_adj)) missing = "gcnii_adj";
+  if ((need & kAttnMask) && sample.attn_mask.size() != n * n) missing = "attn_mask";
+  if ((need & kPathPool) && (sample.path_pool.rows != sample.path_count ||
+                             sample.path_pool.cols != n))
+    missing = "path_pool";
+  if (missing)
+    throw std::invalid_argument(name() + ": sample '" + sample.net_name +
+                                "' was built without " + missing);
+
   WirePrediction pred;
   if (!workspace) {
     pred = run_forward(sample);

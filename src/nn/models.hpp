@@ -69,6 +69,12 @@ class WireModel {
   [[nodiscard]] virtual std::vector<tensor::Tensor> parameters() const = 0;
 
   [[nodiscard]] virtual ModelKind kind() const = 0;
+
+  /// The graph operators run_forward reads, given kind() and the ablation
+  /// switches. forward() throws std::invalid_argument when \p sample lacks
+  /// one of them, so a sample built for another model cannot be read as an
+  /// empty (for the mask: "global") operator.
+  [[nodiscard]] OperatorSet operators() const;
   [[nodiscard]] std::string name() const { return to_string(kind()); }
   [[nodiscard]] const ModelConfig& config() const noexcept { return config_; }
 

@@ -1,7 +1,9 @@
 #include "sim/moments.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 
 #include "linalg/matrix.hpp"
@@ -14,124 +16,124 @@ using rcnet::RcNet;
 
 namespace {
 
-/// Maps every non-source node to a compact row index; source maps to npos.
-std::vector<std::size_t> reduced_index(const RcNet& net) {
-  std::vector<std::size_t> index(net.node_count(), std::size_t(-1));
-  std::size_t next = 0;
-  for (NodeId v = 0; v < net.node_count(); ++v)
-    if (v != net.source) index[v] = next++;
-  return index;
-}
+constexpr std::uint32_t kUnseen = std::uint32_t(-1);
 
-/// Builds the reduced conductance matrix (source node grounded out).
-linalg::Matrix reduced_conductance(const RcNet& net,
-                                   const std::vector<std::size_t>& index) {
-  const std::size_t m = net.node_count() - 1;
-  linalg::Matrix g(m, m);
-  for (const rcnet::Resistor& r : net.resistors) {
-    const double cond = 1.0 / r.ohms;
-    const std::size_t ia = index[r.a];
-    const std::size_t ib = index[r.b];
-    if (ia != std::size_t(-1)) g(ia, ia) += cond;
-    if (ib != std::size_t(-1)) g(ib, ib) += cond;
-    if (ia != std::size_t(-1) && ib != std::size_t(-1)) {
-      g(ia, ib) -= cond;
-      g(ib, ia) -= cond;
+/// A spanning tree of the resistor graph rooted at the source, plus the
+/// resistors it leaves out (one per independent loop).
+struct SpanningTree {
+  std::vector<NodeId> order;         ///< breadth-first from the source
+  std::vector<std::uint32_t> up;     ///< per node: its resistor toward the source
+  std::vector<std::uint32_t> loops;  ///< indices of the off-tree resistors
+};
+
+/// Breadth-first spanning tree over a flat incidence list (resistor indices
+/// grouped by node). Throws when a node is unreachable from the source.
+SpanningTree spanning_tree(const RcNet& net) {
+  const std::size_t n = net.node_count();
+  const std::vector<rcnet::Resistor>& res = net.resistors;
+  // first[v] .. first[v + 1] delimit node v's slots once the fill is done.
+  std::vector<std::uint32_t> first(n + 1, 0);
+  for (const rcnet::Resistor& r : res) ++first[r.a], ++first[r.b];
+  for (std::size_t v = 1; v < n; ++v) first[v] += first[v - 1];
+  first[n] = static_cast<std::uint32_t>(2 * res.size());
+  std::vector<std::uint32_t> slot(2 * res.size());
+  for (std::size_t i = res.size(); i-- > 0;) {
+    slot[--first[res[i].a]] = static_cast<std::uint32_t>(i);
+    slot[--first[res[i].b]] = static_cast<std::uint32_t>(i);
+  }
+
+  SpanningTree t{{net.source}, std::vector<std::uint32_t>(n, kUnseen), {}};
+  t.order.reserve(n);
+  t.up[net.source] = kUnseen - 1;
+  for (std::size_t head = 0; head < t.order.size(); ++head) {
+    const NodeId v = t.order[head];
+    for (std::uint32_t s = first[v]; s < first[v + 1]; ++s) {
+      const NodeId u = res[slot[s]].a ^ res[slot[s]].b ^ v;
+      if (t.up[u] != kUnseen) continue;
+      t.up[u] = slot[s];
+      t.order.push_back(u);
     }
   }
-  return g;
+  if (t.order.size() != n)
+    throw std::runtime_error("compute_moments: net '" + net.name + "' is disconnected");
+  for (std::uint32_t i = 0; i < res.size(); ++i)
+    if (t.up[res[i].a] != i && t.up[res[i].b] != i) t.loops.push_back(i);
+  return t;
 }
 
-/// Node capacitance including grounded coupling caps, in reduced ordering.
-std::vector<double> reduced_caps(const RcNet& net,
-                                 const std::vector<std::size_t>& index) {
-  std::vector<double> c(net.node_count() - 1, 0.0);
-  for (NodeId v = 0; v < net.node_count(); ++v)
-    if (index[v] != std::size_t(-1)) c[index[v]] = net.ground_cap[v];
-  for (const rcnet::CouplingCap& cc : net.couplings)
-    if (index[cc.victim_node] != std::size_t(-1)) c[index[cc.victim_node]] += cc.farads;
-  return c;
+/// Solves G_T x = b in place, G_T being the tree's conductance matrix with
+/// the source grounded: subtree currents summed toward the source, then
+/// R_edge * I drops accumulated away from it. With b = C this is Elmore path
+/// tracing. \p current is scratch of the same size.
+void tree_solve(const RcNet& net, const SpanningTree& t, std::span<double> x,
+                std::vector<double>& current) {
+  std::copy(x.begin(), x.end(), current.begin());
+  for (std::size_t i = t.order.size(); i-- > 1;) {
+    const NodeId v = t.order[i];
+    const rcnet::Resistor& r = net.resistors[t.up[v]];
+    current[r.a ^ r.b ^ v] += current[v];
+  }
+  x[t.order[0]] = 0.0;
+  for (std::size_t i = 1; i < t.order.size(); ++i) {
+    const NodeId v = t.order[i];
+    const rcnet::Resistor& r = net.resistors[t.up[v]];
+    x[v] = x[r.a ^ r.b ^ v] + r.ohms * current[v];
+  }
 }
 
 }  // namespace
 
 Moments compute_moments(const RcNet& net) {
+  const SpanningTree tree = spanning_tree(net);
   const std::size_t n = net.node_count();
-  assert(n >= 2);
-  const std::vector<std::size_t> index = reduced_index(net);
-  const linalg::Matrix g = reduced_conductance(net, index);
-  const auto chol = linalg::CholeskyFactor::factor(g);
+  const std::size_t k = tree.loops.size();
+  std::vector<double> current(n);
+
+  // Loop j adds g_j u_j u_j^T to G_T, with u_j = e_a - e_b. Sherman-Morrison-
+  // Woodbury: G^-1 b = y - Z S^-1 U^T y, with y = G_T^-1 b, Z = G_T^-1 U and
+  // the k x k SPD system S = diag(R_loop) + U^T Z.
+  auto across = [&](std::span<const double> x, std::size_t j) {
+    const rcnet::Resistor& r = net.resistors[tree.loops[j]];
+    return x[r.a] - x[r.b];
+  };
+  std::vector<double> z(k * n, 0.0);
+  linalg::Matrix s(k, k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::span<double> col(z.data() + j * n, n);
+    const rcnet::Resistor& r = net.resistors[tree.loops[j]];
+    col[r.a] += 1.0;
+    col[r.b] -= 1.0;
+    tree_solve(net, tree, col, current);
+    s(j, j) = r.ohms;
+    for (std::size_t i = 0; i < k; ++i) s(i, j) += across(col, i);
+  }
+  const auto chol = linalg::CholeskyFactor::factor(s);
   if (!chol)
-    throw std::runtime_error("compute_moments: conductance matrix not SPD (net '" +
-                             net.name + "' likely disconnected)");
+    throw std::runtime_error("compute_moments: loop system of net '" + net.name +
+                             "' is not SPD");
+  std::vector<double> t(k);
+  auto solve = [&](std::vector<double>& x) {
+    tree_solve(net, tree, x, current);
+    if (k == 0) return;
+    for (std::size_t j = 0; j < k; ++j) t[j] = across(x, j);
+    const std::vector<double> w = chol->solve(t);
+    for (std::size_t j = 0; j < k; ++j)
+      for (std::size_t v = 0; v < n; ++v) x[v] -= z[j * n + v] * w[j];
+  };
 
-  const std::vector<double> caps = reduced_caps(net, index);
-
-  // m_{k+1} = G^{-1} (C .* m_k), with m_0 = all-ones.
-  std::vector<double> rhs = caps;  // C .* 1
-  const std::vector<double> m1r = chol->solve(rhs);
-  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] = caps[i] * m1r[i];
-  const std::vector<double> m2r = chol->solve(rhs);
-  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] = caps[i] * m2r[i];
-  const std::vector<double> m3r = chol->solve(rhs);
-
+  // m_{k+1} = G^-1 (C .* m_k), with m_0 = all-ones; coupling caps grounded.
+  std::vector<double> caps = net.ground_cap;
+  for (const rcnet::CouplingCap& cc : net.couplings) caps[cc.victim_node] += cc.farads;
   Moments out;
-  out.m1.assign(n, 0.0);
-  out.m2.assign(n, 0.0);
-  out.m3.assign(n, 0.0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (index[v] == std::size_t(-1)) continue;
-    out.m1[v] = m1r[index[v]];
-    out.m2[v] = m2r[index[v]];
-    out.m3[v] = m3r[index[v]];
-  }
+  out.m1 = caps;
+  solve(out.m1);
+  out.m2 = out.m1;
+  for (std::size_t v = 0; v < n; ++v) out.m2[v] *= caps[v];
+  solve(out.m2);
+  out.m3 = out.m2;
+  for (std::size_t v = 0; v < n; ++v) out.m3[v] *= caps[v];
+  solve(out.m3);
   return out;
-}
-
-std::vector<double> elmore_tree(const RcNet& net) {
-  assert(net.is_tree());
-  const rcnet::Adjacency adj = rcnet::build_adjacency(net);
-  const std::size_t n = net.node_count();
-
-  // DFS order from the source (tree: each node reached once).
-  std::vector<NodeId> order;
-  order.reserve(n);
-  std::vector<NodeId> parent(n, net.source);
-  std::vector<std::uint32_t> parent_res(n, 0);
-  std::vector<bool> seen(n, false);
-  std::vector<NodeId> stack{net.source};
-  seen[net.source] = true;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    order.push_back(v);
-    for (const rcnet::Neighbor& nb : adj[v]) {
-      if (!seen[nb.node]) {
-        seen[nb.node] = true;
-        parent[nb.node] = v;
-        parent_res[nb.node] = nb.resistor_index;
-        stack.push_back(nb.node);
-      }
-    }
-  }
-
-  // Pass 1 (reverse order): downstream capacitance per node.
-  std::vector<double> down_cap(n, 0.0);
-  for (NodeId v = 0; v < n; ++v) down_cap[v] = net.ground_cap[v];
-  for (const rcnet::CouplingCap& cc : net.couplings)
-    down_cap[cc.victim_node] += cc.farads;
-  for (std::size_t i = order.size(); i-- > 1;) {
-    const NodeId v = order[i];
-    down_cap[parent[v]] += down_cap[v];
-  }
-
-  // Pass 2 (forward order): delay(v) = delay(parent) + R_edge * down_cap(v).
-  std::vector<double> delay(n, 0.0);
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const NodeId v = order[i];
-    delay[v] = delay[parent[v]] + net.resistors[parent_res[v]].ohms * down_cap[v];
-  }
-  return delay;
 }
 
 std::vector<double> d2m_from_moments(const Moments& moments) {

@@ -1,5 +1,5 @@
 /// \file moments.hpp
-/// MNA-based circuit moment computation for RC nets.
+/// Circuit moment computation for RC nets.
 ///
 /// With the source node held by an ideal step, the voltage transfer function
 /// to node i expands as H_i(s) = 1 - m1_i s + m2_i s^2 - m3_i s^3 + ...
@@ -22,18 +22,15 @@ struct Moments {
   std::vector<double> m3;  ///< third moment (seconds^3)
 };
 
-/// Computes m1..m3 of \p net via dense Cholesky on the reduced conductance
-/// matrix. Coupling caps are grounded (Miller-0 assumption), which matches the
-/// quiet-aggressor view an analytical metric has.
+/// Computes m1..m3 of \p net in O(n*k) for k independent loops: tree solves
+/// over a breadth-first spanning tree rooted at the source (Elmore path
+/// tracing), plus a rank-k Sherman-Morrison-Woodbury correction for the
+/// resistors the tree leaves out. Coupling caps are grounded (Miller-0
+/// assumption), which matches the quiet-aggressor view an analytical metric
+/// has. Throws std::runtime_error when a node is unreachable from the source.
 ///
 /// Precondition: net.validate() is empty.
 [[nodiscard]] Moments compute_moments(const rcnet::RcNet& net);
-
-/// Elmore delay per node via two tree traversals (downstream-cap pass +
-/// accumulation pass). Exact on trees only; used to cross-check the MNA path.
-///
-/// Precondition: net.is_tree().
-[[nodiscard]] std::vector<double> elmore_tree(const rcnet::RcNet& net);
 
 /// D2M delay metric per node: ln(2) * m1^2 / sqrt(m2) (Alpert et al., ISPD'00).
 /// Clamps to 0 where m2 underflows.

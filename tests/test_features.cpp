@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <sstream>
 
 #include "features/dataset.hpp"
 #include "features/features.hpp"
 #include "netlist/generate.hpp"
+#include "nn/models.hpp"
 #include "rcnet/generate.hpp"
 
 namespace {
@@ -228,6 +230,84 @@ TEST(Dataset, DeterministicGeneration) {
     for (std::size_t q = 0; q < a[i].delay_labels.size(); ++q)
       EXPECT_DOUBLE_EQ(a[i].delay_labels[q], b[i].delay_labels[q]);
   }
+}
+
+// ---- Demand-driven graph operators ----
+
+bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.values().data(), b.values().data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Operators, DemandBuiltSamplesGiveBitwiseEqualOutputs) {
+  const auto records = small_records(10, 23);
+  Standardizer full;
+  full.fit(records);
+  ASSERT_EQ(full.operators(), nn::kAllOperators);
+  std::size_t non_tree = 0;
+  for (const WireRecord& rec : records) non_tree += rec.non_tree ? 1 : 0;
+  ASSERT_GT(non_tree, 0u);
+
+  for (const nn::ModelKind kind :
+       {nn::ModelKind::kGnnTrans, nn::ModelKind::kGraphSage, nn::ModelKind::kGcnii,
+        nn::ModelKind::kGat, nn::ModelKind::kGraphTransformer}) {
+    for (unsigned flags = 0; flags < 16; ++flags) {
+      nn::ModelConfig mc;
+      mc.node_feature_dim = kNodeFeatureCount;
+      mc.path_feature_dim = kPathFeatureCount;
+      mc.hidden_dim = 8;
+      mc.gnn_layers = 2;
+      mc.transformer_layers = 1;
+      mc.heads = 2;
+      mc.mlp_hidden = 8;
+      mc.use_edge_weights = (flags & 1u) != 0;
+      mc.global_attention = (flags & 2u) != 0;
+      mc.use_path_features = (flags & 4u) != 0;
+      mc.cascade_delay_head = (flags & 8u) != 0;
+      const auto model = nn::make_model(kind, mc);
+      Standardizer demand = full;
+      demand.set_operators(model->operators());
+      for (const WireRecord& rec : records) {
+        const nn::GraphSample a = full.make_sample(rec);
+        const nn::GraphSample b = demand.make_sample(rec);
+        // Operators the model does not declare are not built.
+        EXPECT_EQ(b.attn_mask.empty(), (model->operators() & nn::kAttnMask) == 0);
+        EXPECT_EQ(b.mean_adj.rows == 0, (model->operators() & nn::kMeanAdj) == 0);
+        const nn::WirePrediction pa = model->forward(a);
+        const nn::WirePrediction pb = model->forward(b);
+        EXPECT_TRUE(same_bits(pa.slew, pb.slew) && same_bits(pa.delay, pb.delay))
+            << model->name() << " flags " << flags << " net " << rec.net.name;
+      }
+    }
+  }
+}
+
+TEST(Operators, DefaultGnnTransSkipsUnreadOperators) {
+  nn::ModelConfig mc;
+  mc.node_feature_dim = kNodeFeatureCount;
+  mc.path_feature_dim = kPathFeatureCount;
+  EXPECT_EQ(nn::make_model(nn::ModelKind::kGnnTrans, mc)->operators(),
+            nn::kWeightedAdj | nn::kPathPool);
+}
+
+TEST(Operators, ModelRejectsSampleMissingItsOperators) {
+  const auto records = small_records(2, 25);
+  Standardizer std_;
+  std_.fit(records);
+  nn::ModelConfig mc;
+  mc.node_feature_dim = kNodeFeatureCount;
+  mc.path_feature_dim = kPathFeatureCount;
+  mc.hidden_dim = 4;
+  const auto gnntrans = nn::make_model(nn::ModelKind::kGnnTrans, mc);
+  std_.set_operators(gnntrans->operators());
+  const nn::GraphSample sample = std_.make_sample(records.front());
+  // A neighbor-masked model must not read the missing mask as "global".
+  mc.global_attention = false;
+  const auto masked = nn::make_model(nn::ModelKind::kGnnTrans, mc);
+  EXPECT_THROW((void)masked->forward(sample), std::invalid_argument);
+  EXPECT_THROW((void)nn::make_model(nn::ModelKind::kGraphSage, mc)->forward(sample),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)gnntrans->forward(sample));
 }
 
 }  // namespace

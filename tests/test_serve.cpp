@@ -293,8 +293,8 @@ std::string make_request_bytes(std::uint64_t id, std::size_t item,
 // test that needs requests to wait in the queue first occupies the model: it
 // sends one large tree net, waits until that net has left the queue, and only
 // then sends the requests under test. They queue behind the blocker's
-// featurize+forward — ~0.1 s for 800 nodes in an optimized build, longer
-// under sanitizers.
+// featurize+forward — ~0.1 s for 2000 nodes in an optimized build (the
+// attention span; moments are O(n)), longer under sanitizers.
 
 /// Current snapshot of a named histogram in the global registry (empty if
 /// absent).
@@ -313,7 +313,7 @@ std::uint64_t bucket_count(const telemetry::HistogramData& h, double le) {
   return 0;
 }
 
-/// Occupies a server's batcher with one 800-node tree net (a ~21 KB frame,
+/// Occupies a server's batcher with one 2000-node tree net (a ~53 KB frame,
 /// far under the 1 MiB limit), sent on its own connection.
 class BatcherHold {
  public:
@@ -357,7 +357,7 @@ class BatcherHold {
     serve::RequestFrame request;
     std::mt19937_64 rng(5);
     rcnet::NetGenConfig cfg;
-    cfg.min_nodes = cfg.max_nodes = 800;
+    cfg.min_nodes = cfg.max_nodes = 2000;
     cfg.min_sinks = cfg.max_sinks = 12;
     cfg.non_tree_fraction = 0.0;
     request.request_id = kBlockerId;

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <random>
 
+#include "core/estimator.hpp"
+#include "features/dataset.hpp"
+#include "moments_oracle.hpp"
 #include "rcnet/generate.hpp"
 #include "rcnet/paths.hpp"
 #include "sim/golden.hpp"
@@ -64,13 +67,181 @@ TEST_P(TreeVsMnaSeeded, TreeTraversalElmoreEqualsMnaMoment) {
   cfg.non_tree_fraction = 0.0;
   const RcNet net = rcnet::generate_net(cfg, rng, "t");
   ASSERT_TRUE(net.is_tree());
-  const std::vector<double> tree_delay = sim::elmore_tree(net);
-  const sim::Moments m = sim::compute_moments(net);
+  const std::vector<double> tree_delay = sim::compute_moments(net).m1;
+  const sim::Moments m = moments_oracle::dense(net);
   for (std::size_t v = 0; v < net.node_count(); ++v)
     EXPECT_NEAR(tree_delay[v], m.m1[v], 1e-9 * (m.m1[v] + 1e-15)) << "node " << v;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TreeVsMnaSeeded, ::testing::Range(1, 13));
+
+// ---- compute_moments against the dense oracle (tests/moments_oracle.hpp) ----
+
+TEST(MomentsOracle, DefaultNetsMatchDenseSolve) {
+  // About 1k default generator nets, half of them with loops.
+  std::mt19937_64 rng(20261018);
+  rcnet::NetGenConfig cfg;
+  cfg.non_tree_fraction = 0.5;
+  std::size_t loops = 0;
+  double worst = 0.0;
+  for (int i = 0; i < 1000; ++i) {
+    const RcNet net = rcnet::generate_net(cfg, rng, "d" + std::to_string(i));
+    ASSERT_TRUE(net.validate().empty());
+    loops += net.is_tree() ? 0 : 1;
+    const double err =
+        moments_oracle::worst_error(sim::compute_moments(net), moments_oracle::dense(net));
+    worst = std::max(worst, err);
+    ASSERT_LE(err, 1e-11) << "net " << i << " with " << net.node_count() << " nodes";
+  }
+  EXPECT_GT(loops, 400u);
+  RecordProperty("worst_relative_error", std::to_string(worst));
+}
+
+/// Multiplies every R and C by an independent log-uniform factor in
+/// [1e-3, 1e3]: a 10^6 dynamic range within one net.
+RcNet with_dynamic_range(RcNet net, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> decades(-3.0, 3.0);
+  for (rcnet::Resistor& r : net.resistors) r.ohms *= std::pow(10.0, decades(rng));
+  for (double& c : net.ground_cap) c *= std::pow(10.0, decades(rng));
+  return net;
+}
+
+/// Turns about a fifth of the resistors, on the tree and in loops, into
+/// 1e-6 ohm shorts.
+RcNet with_shorts(RcNet net, std::mt19937_64& rng) {
+  std::bernoulli_distribution pick(0.2);
+  for (rcnet::Resistor& r : net.resistors)
+    if (pick(rng)) r.ohms = 1e-6;
+  return net;
+}
+
+/// Adds up to three loop resistors from the source to nodes it does not
+/// already touch.
+RcNet with_source_loops(RcNet net, std::mt19937_64& rng) {
+  std::vector<bool> touches(net.node_count(), false);
+  for (const rcnet::Resistor& r : net.resistors)
+    if (r.a == net.source || r.b == net.source) touches[r.a] = touches[r.b] = true;
+  std::uniform_int_distribution<rcnet::NodeId> node(0, net.node_count() - 1);
+  std::uniform_real_distribution<double> ohms(5.0, 500.0);
+  for (int added = 0, tries = 0; added < 3 && tries < 50; ++tries) {
+    const rcnet::NodeId v = node(rng);
+    if (touches[v]) continue;
+    touches[v] = true;
+    net.resistors.push_back({net.source, v, ohms(rng)});
+    ++added;
+  }
+  return net;
+}
+
+/// A w x h resistor mesh (every interior face is a loop) driven at a corner,
+/// sinks at the other three corners.
+RcNet mesh(rcnet::NodeId w, rcnet::NodeId h, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> ohms(5.0, 80.0);
+  std::uniform_real_distribution<double> cap(0.5e-15, 5e-15);
+  RcNet net;
+  net.name = "mesh";
+  net.source = 0;
+  net.sinks = {w - 1, w * (h - 1), w * h - 1};
+  for (rcnet::NodeId v = 0; v < w * h; ++v) {
+    net.ground_cap.push_back(cap(rng));
+    if (v % w + 1 < w) net.resistors.push_back({v, v + 1, ohms(rng)});
+    if (v + w < w * h) net.resistors.push_back({v, v + w, ohms(rng)});
+  }
+  return net;
+}
+
+/// Nets where a dense solve loses digits: 10^6 R/C range, near-zero-R
+/// shorts, loops through the source, 1k-node chains, wide fanout, meshes.
+std::vector<RcNet> adversarial_corpus() {
+  std::mt19937_64 rng(404);
+  rcnet::NetGenConfig cfg;
+  cfg.min_nodes = 10;
+  cfg.max_nodes = 300;
+  cfg.non_tree_fraction = 0.5;
+  std::vector<RcNet> corpus;
+  for (int i = 0; i < 20; ++i) {
+    const RcNet base = rcnet::generate_net(cfg, rng, "adv" + std::to_string(i));
+    corpus.push_back(with_dynamic_range(base, rng));
+    corpus.push_back(with_shorts(base, rng));
+    corpus.push_back(with_source_loops(base, rng));
+    corpus.push_back(with_shorts(with_dynamic_range(with_source_loops(base, rng), rng), rng));
+  }
+  RcNet long_chain = chain(1000, 20.0, 1e-15);
+  corpus.push_back(long_chain);
+  long_chain.resistors.push_back({0, 999, 5000.0});
+  long_chain.resistors.push_back({250, 750, 1e-6});
+  corpus.push_back(with_dynamic_range(long_chain, rng));
+  for (std::uint32_t fanout : {49u, 64u})
+    corpus.push_back(rcnet::generate_net_for_fanout(cfg, rng, "fan", fanout));
+  corpus.push_back(mesh(8, 8, rng));
+  corpus.push_back(with_dynamic_range(mesh(12, 5, rng), rng));
+  return corpus;
+}
+
+// Against a quad-precision solve, the plain dense oracle is off by up to
+// ~5e-5 on the combined-stress nets, so the corpus is judged against the
+// refined oracle and, independently of any oracle, by the MNA residual.
+TEST(MomentsOracle, AdversarialCorpusMatchesOracleAndResidual) {
+  const std::vector<RcNet> corpus = adversarial_corpus();
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const RcNet& net = corpus[i];
+    ASSERT_TRUE(net.validate().empty()) << "corpus net " << i;
+    const sim::Moments m = sim::compute_moments(net);
+    EXPECT_LE(moments_oracle::worst_error(m, moments_oracle::dense(net, 3)), 1e-12)
+        << "corpus net " << i << " (" << net.node_count() << " nodes)";
+    EXPECT_LE(moments_oracle::residual(net, m), 1e-14)
+        << "corpus net " << i << " (" << net.node_count() << " nodes)";
+  }
+}
+
+/// A 4-node chain plus a 2-node island joined only to itself.
+RcNet disconnected_net() {
+  RcNet net = chain(4, 50.0, 2e-15);
+  net.name = "island";
+  net.ground_cap.push_back(1e-15);
+  net.ground_cap.push_back(1e-15);
+  net.resistors.push_back({4, 5, 30.0});
+  net.sinks.push_back(5);
+  return net;
+}
+
+TEST(Moments, DisconnectedNetThrows) {
+  EXPECT_THROW((void)sim::compute_moments(disconnected_net()), std::runtime_error);
+}
+
+TEST(Moments, EstimatorRejectsDisconnectedNetBeforeFeaturization) {
+  const RcNet net = disconnected_net();
+  ASSERT_FALSE(net.validate().empty());
+
+  const cell::CellLibrary lib = cell::CellLibrary::make_default();
+  features::WireDatasetConfig data;
+  data.net_count = 6;
+  data.sim_config.steps = 200;
+  data.seed = 3;
+  core::WireTimingEstimator::Options opt;
+  opt.model.hidden_dim = 4;
+  opt.model.gnn_layers = 1;
+  opt.model.transformer_layers = 1;
+  opt.model.heads = 1;
+  opt.model.mlp_hidden = 4;
+  opt.train.epochs = 1;
+  const auto est = core::WireTimingEstimator::train(
+      features::generate_wire_records(data, lib), opt);
+
+  std::mt19937_64 rng(8);
+  const features::NetContext ctx = features::random_context(lib, net, rng);
+  std::vector<core::NetOutcome> outcomes;
+  core::BatchOptions options;
+  options.outcomes = &outcomes;
+  const std::vector<core::NetBatchItem> batch{{&net, &ctx}};
+  const auto results = est.estimate_batch(batch, options);
+  ASSERT_EQ(outcomes.size(), 1u);
+  // kInvalidNet comes only from the structural gate; had the net reached
+  // featurization, compute_moments' throw would read kPathExtractionFailed.
+  EXPECT_EQ(outcomes[0].error, core::ErrorCode::kInvalidNet);
+  EXPECT_EQ(outcomes[0].featurize_seconds, 0.0);
+  EXPECT_EQ(results[0].size(), net.sinks.size());
+}
 
 TEST(D2m, BoundedByElmoreOnRandomNets) {
   // D2M is a provable lower-ish estimate; on RC nets it never exceeds Elmore.
