@@ -3,8 +3,10 @@
 // metrics vs feature extraction vs model inference.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <random>
 
+#include "core/estimate_cache.hpp"
 #include "core/estimator.hpp"
 #include "features/dataset.hpp"
 #include "rcnet/generate.hpp"
@@ -107,6 +109,38 @@ void BM_GnnTransInference(benchmark::State& state) {
   state.SetLabel(std::to_string(net.sinks.size()) + " paths");
 }
 BENCHMARK(BM_GnnTransInference)->Arg(16)->Arg(40)->Arg(80)->Arg(160);
+
+/// The estimate cache's net-tier hit, as an ECO retime meets it: the net's
+/// embedding is stored and every iteration brings a new input slew, so the
+/// full key misses and only the heads run (plus validate+hash, the H rows
+/// and the full-key insert). The counterpart of BM_GnnTransInference's full
+/// model pass on the same nets.
+void BM_GnnTransHeadsFromEmbedding(benchmark::State& state) {
+  const auto& est = trained_estimator();
+  const auto lib = cell::CellLibrary::make_default();
+  const rcnet::RcNet net = make_net(state.range(0), 21);
+  std::mt19937_64 rng(13);
+  features::NetContext ctx = features::random_context(lib, net, rng);
+  core::EstimateCache cache;
+  std::vector<nn::Workspace> workspaces(1);
+  core::BatchOptions options;
+  options.cache = &cache;
+  options.workspaces = &workspaces;
+  const core::NetBatchItem item{&net, &ctx};
+  core::InferenceStats stats;
+  (void)est.estimate_batch({&item, 1}, options);  // stores the embedding
+  std::size_t embedding_hits = 0;
+  for (auto _ : state) {
+    ctx.input_slew = std::nextafter(ctx.input_slew, 1.0);
+    benchmark::DoNotOptimize(est.estimate_batch({&item, 1}, options, &stats));
+    embedding_hits += stats.embedding_hits;
+  }
+  state.counters["embedding_hit_rate"] =
+      static_cast<double>(embedding_hits) /
+      static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
+  state.SetLabel(std::to_string(net.sinks.size()) + " paths");
+}
+BENCHMARK(BM_GnnTransHeadsFromEmbedding)->Arg(16)->Arg(40)->Arg(160);
 
 void BM_TrainStep(benchmark::State& state) {
   // One forward+backward+step over a single net sample.

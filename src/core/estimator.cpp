@@ -170,6 +170,34 @@ std::string human_bytes(std::size_t bytes) {
   return buf;
 }
 
+/// The model stage of one net's pass: \p pass (a full forward or the
+/// heads-only pass of a net-tier hit) under the "forward" span and the
+/// forward fault sites, with every failure converted into a Status instead of
+/// escaping. Its wall time is added to \p seconds when non-null.
+template <typename Pass>
+Expected<nn::WirePrediction> guarded_forward(const rcnet::RcNet& net,
+                                             double* seconds, Pass&& pass) {
+  FaultInjector& inject = FaultInjector::global();
+  const auto t0 = Clock::now();
+  Expected<nn::WirePrediction> result = [&]() -> Expected<nn::WirePrediction> {
+    try {
+      const telemetry::TraceSpan span("forward", "serving");
+      if (inject.armed() && inject.should_fail(FaultSite::kForward, net.name))
+        throw std::runtime_error("injected forward fault");
+      nn::WirePrediction pred = pass();
+      if (inject.armed() && inject.should_fail(FaultSite::kNonFinite, net.name))
+        throw nn::NonFiniteActivationError("injected", 0, 0);
+      return pred;
+    } catch (const nn::NonFiniteActivationError& e) {
+      return Status(ErrorCode::kNonFiniteActivation, net.name + ": " + e.what());
+    } catch (const std::exception& e) {
+      return Status(ErrorCode::kInternal, net.name + ": " + e.what());
+    }
+  }();
+  if (seconds) *seconds += seconds_since(t0);
+  return result;
+}
+
 }  // namespace
 
 void InferenceStats::merge(const InferenceStats& other) {
@@ -189,6 +217,7 @@ void InferenceStats::merge(const InferenceStats& other) {
   fallback_nets += other.fallback_nets;
   failed_nets += other.failed_nets;
   cached_nets += other.cached_nets;
+  embedding_hits += other.embedding_hits;
   slow_nets += other.slow_nets;
   slew_clamped += other.slew_clamped;
   for (std::size_t c = 0; c < kErrorCodeCount; ++c)
@@ -231,6 +260,11 @@ std::string InferenceStats::summary() const {
   }
   if (cached_nets > 0) {
     std::snprintf(buf, sizeof(buf), "; %zu cached", cached_nets);
+    out += buf;
+  }
+  if (embedding_hits > 0) {
+    std::snprintf(buf, sizeof(buf), "; %zu embedding hit%s", embedding_hits,
+                  embedding_hits == 1 ? "" : "s");
     out += buf;
   }
   if (slew_clamped > 0) {
@@ -282,7 +316,8 @@ WireTimingEstimator WireTimingEstimator::train(
 
 Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
     const rcnet::RcNet& net, const features::NetContext& context,
-    nn::Workspace* workspace, StageSeconds* stages) const {
+    nn::Workspace* workspace, StageSeconds* stages,
+    NetEmbedding* embedding) const {
   tensor::NoGradGuard no_grad;
   FaultInjector& inject = FaultInjector::global();
 
@@ -323,32 +358,63 @@ Expected<std::vector<PathEstimate>> WireTimingEstimator::run_model_path(
   rec.slew_labels.assign(rec.raw.analysis.paths.size(), 0.0);
   rec.delay_labels.assign(rec.raw.analysis.paths.size(), 0.0);
 
-  const auto t0 = Clock::now();
-  nn::WirePrediction pred;
-  std::size_t path_count = 0;
-  try {
+  tensor::Tensor pooled;
+  auto pred = guarded_forward(net, stages ? &stages->forward : nullptr, [&] {
     const nn::GraphSample sample = standardizer_.make_sample(rec);
-    path_count = sample.path_count;
-    const telemetry::TraceSpan forward_span("forward", "serving");
-    if (inject.armed() && inject.should_fail(FaultSite::kForward, net.name))
-      throw std::runtime_error("injected forward fault");
-    pred = model_->forward(sample, workspace);
-    if (inject.armed() && inject.should_fail(FaultSite::kNonFinite, net.name))
-      throw nn::NonFiniteActivationError("injected", 0, 0);
-  } catch (const nn::NonFiniteActivationError& e) {
-    if (stages) stages->forward += seconds_since(t0);
-    return Status(ErrorCode::kNonFiniteActivation, net.name + ": " + e.what());
-  } catch (const std::exception& e) {
-    if (stages) stages->forward += seconds_since(t0);
-    return Status(ErrorCode::kInternal, net.name + ": " + e.what());
-  }
-  if (stages) stages->forward += seconds_since(t0);
+    // forward() split at the heads, so the net half can be kept.
+    pooled = model_->embed(sample, workspace);
+    return model_->predict(pooled, sample.h, workspace);
+  });
+  if (!pred) return pred.status();
 
+  std::vector<rcnet::NodeId> sinks;
+  sinks.reserve(rec.raw.analysis.paths.size());
+  for (const rcnet::WirePath& path : rec.raw.analysis.paths)
+    sinks.push_back(path.sink);
+  std::vector<PathEstimate> out = unstandardize(*pred, sinks);
+  if (embedding) {
+    const std::span<const float> values = pooled.values();
+    embedding->node_count = net.node_count();
+    embedding->sinks = std::move(sinks);
+    embedding->pooled.assign(values.begin(), values.end());
+    embedding->path_columns = features::net_path_columns(rec.raw.h);
+  }
+  return out;
+}
+
+Expected<std::vector<PathEstimate>> WireTimingEstimator::run_heads_path(
+    const rcnet::RcNet& net, const NetEmbedding& embedding,
+    const features::NetContext& context, nn::Workspace* workspace,
+    StageSeconds* stages) const {
+  tensor::NoGradGuard no_grad;
+  const std::size_t paths = embedding.path_count();
+
+  const auto t0 = Clock::now();
+  tensor::Tensor h;
+  {
+    const telemetry::TraceSpan span("featurize", "serving");
+    h = standardizer_.standardize_path_features(
+        features::path_features(context, embedding.path_columns));
+  }
+  const tensor::Tensor pooled = tensor::Tensor::from_data(
+      embedding.pooled, paths, embedding.pooled.size() / paths);
+  if (stages) stages->featurize += seconds_since(t0);
+
+  auto pred = guarded_forward(net, stages ? &stages->forward : nullptr, [&] {
+    return model_->predict(pooled, h, workspace);
+  });
+  if (!pred) return pred.status();
+  return unstandardize(*pred, embedding.sinks);
+}
+
+std::vector<PathEstimate> WireTimingEstimator::unstandardize(
+    const nn::WirePrediction& pred,
+    const std::vector<rcnet::NodeId>& sinks) const {
   std::vector<PathEstimate> out;
-  out.reserve(path_count);
-  for (std::size_t q = 0; q < path_count; ++q) {
+  out.reserve(sinks.size());
+  for (std::size_t q = 0; q < sinks.size(); ++q) {
     PathEstimate pe;
-    pe.sink = rec.raw.analysis.paths[q].sink;
+    pe.sink = sinks[q];
     pe.slew = standardizer_.unstandardize_slew(pred.slew(q, 0));
     pe.delay = standardizer_.unstandardize_delay(pred.delay(q, 0));
     out.push_back(pe);
@@ -463,31 +529,44 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
                        net.name + ": injected validation fault");
     }
 
-    // Content-addressed lookup before the model path: a hit returns the
-    // stored bytes of a prior model pass (bitwise identical values, tagged
-    // kCached) and skips featurize+forward entirely. Only formed after every
-    // gate above, so invalid/deadline nets never touch the cache.
+    // Content-addressed lookup before the model path: a full-key hit
+    // returns the stored bytes of a prior model pass (bitwise identical
+    // values, tagged kCached) and skips featurize+forward entirely; failing
+    // that, a net-tier hit supplies the net half of the pass, so only the
+    // heads run. Only formed after every gate above, so invalid/deadline
+    // nets never touch the cache.
     bool cache_hit = false;
     CacheKey cache_key;
+    std::shared_ptr<const NetEmbedding> embedding;
     if (failure.ok() && options.cache) {
       cache_key =
           EstimateCache::make_key(net_hash, features::content_hash(context));
       if (options.cache->lookup(cache_key, &results[i])) {
         cache_hit = true;
         outcome.provenance = EstimateProvenance::kCached;
+      } else {
+        embedding = options.cache->lookup_net(net_hash, net);
       }
     }
 
     if (failure.ok() && !cache_hit) {
+      NetEmbedding fresh;
       auto model_result =
-          run_model_path(net, context, &workspaces[worker], &stages);
+          embedding ? run_heads_path(net, *embedding, context,
+                                     &workspaces[worker], &stages)
+                    : run_model_path(net, context, &workspaces[worker], &stages,
+                                     options.cache ? &fresh : nullptr);
       if (model_result) {
         results[i] = std::move(*model_result);
         outcome.provenance = EstimateProvenance::kModel;
+        outcome.embedding_hit = embedding != nullptr;
         // Memoize only full model results: a fallback or failure must re-run
         // the ladder next time (the fault may be transient), and caching it
         // would freeze a degraded answer for content the model can serve.
-        if (options.cache) options.cache->insert(cache_key, results[i]);
+        if (options.cache) {
+          options.cache->insert(cache_key, results[i]);
+          if (!embedding) options.cache->insert_net(net_hash, std::move(fresh));
+        }
       } else {
         failure = model_result.status();
       }
@@ -577,11 +656,14 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
   // Identity preserved with the cache on: every net lands in exactly one of
   // model/fallback/failed/cached, so the four always sum to the batch size.
   std::size_t model_nets = 0, fallback_nets = 0, failed_nets = 0,
-              cached_nets = 0, slow_nets = 0;
+              cached_nets = 0, embedding_hits = 0, slow_nets = 0;
   std::array<std::size_t, kErrorCodeCount> degraded_by_reason{};
   for (const NetOutcome& o : outcomes) {
     switch (o.provenance) {
-      case EstimateProvenance::kModel: ++model_nets; break;
+      case EstimateProvenance::kModel:
+        ++model_nets;
+        if (o.embedding_hit) ++embedding_hits;
+        break;
       case EstimateProvenance::kBaselineFallback: ++fallback_nets; break;
       case EstimateProvenance::kFailed: ++failed_nets; break;
       case EstimateProvenance::kCached: ++cached_nets; break;
@@ -657,6 +739,7 @@ std::vector<std::vector<PathEstimate>> WireTimingEstimator::estimate_batch(
     stats->fallback_nets = fallback_nets;
     stats->failed_nets = failed_nets;
     stats->cached_nets = cached_nets;
+    stats->embedding_hits = embedding_hits;
     stats->slow_nets = slow_nets;
     stats->degraded_by_reason = degraded_by_reason;
   }
@@ -805,15 +888,9 @@ std::vector<sim::SinkTiming> to_sink_timings(
 
 std::vector<sim::SinkTiming> EstimatorWireSource::time_net(
     const rcnet::RcNet& net, double input_slew, double driver_resistance) {
-  const features::NetContext ctx =
-      context_for(net, input_slew, driver_resistance);
-  std::size_t clamped = 0;
-  auto out = to_sink_timings(estimator_.estimate(net, ctx), &clamped);
-  if (clamped > 0) {
-    stats_.slew_clamped += clamped;
-    ServingMetrics::get().slew_clamped.inc(clamped);
-  }
-  return out;
+  const netlist::WireTimingRequest request{&net, input_slew, driver_resistance};
+  InferenceStats batch_stats;
+  return std::move(run_batch({&request, 1}, batch_stats).front());
 }
 
 std::vector<std::vector<sim::SinkTiming>> EstimatorWireSource::time_nets(
@@ -822,7 +899,15 @@ std::vector<std::vector<sim::SinkTiming>> EstimatorWireSource::time_nets(
     const AutoscaleDecision d = autoscaler_->decide(requests.size(), threads_);
     if (d.resized()) set_threads(d.target);  // pool + workspaces in lockstep
   }
+  InferenceStats batch_stats;
+  auto out = run_batch(requests, batch_stats);
+  if (autoscaler_) autoscaler_->observe(batch_stats);
+  return out;
+}
 
+std::vector<std::vector<sim::SinkTiming>> EstimatorWireSource::run_batch(
+    std::span<const netlist::WireTimingRequest> requests,
+    InferenceStats& batch_stats) {
   std::vector<features::NetContext> contexts;
   contexts.reserve(requests.size());
   std::vector<NetBatchItem> items;
@@ -842,10 +927,8 @@ std::vector<std::vector<sim::SinkTiming>> EstimatorWireSource::time_nets(
   std::vector<NetOutcome> outcomes;
   options.outcomes = &outcomes;
 
-  InferenceStats batch_stats;
   const std::vector<std::vector<PathEstimate>> estimates =
       estimator_.estimate_batch(items, options, &batch_stats);
-  if (autoscaler_) autoscaler_->observe(batch_stats);
 
   std::vector<std::vector<sim::SinkTiming>> out;
   out.reserve(estimates.size());

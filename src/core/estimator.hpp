@@ -53,6 +53,7 @@ namespace gnntrans::core {
 
 class EstimateCache;         // core/estimate_cache.hpp
 struct EstimateCacheConfig;  // core/estimate_cache.hpp
+struct NetEmbedding;         // core/estimate_cache.hpp
 
 /// Which rung of the degradation ladder produced an estimate.
 enum class EstimateProvenance : std::uint8_t {
@@ -90,6 +91,9 @@ struct NetOutcome {
   ErrorCode error = ErrorCode::kOk;
   std::string message;
   bool slow = false;  ///< exceeded BatchOptions::slow_net_warn_seconds
+  /// Served by the heads over a cached net embedding (the estimate cache's
+  /// net tier): still a fresh model pass, so provenance stays kModel.
+  bool embedding_hit = false;
   /// This net's wall time inside the batch and its stage shares, in seconds.
   /// Always filled; callers building per-request stage clocks (the network
   /// server's tail-latency attribution) read the model share from here so
@@ -125,6 +129,9 @@ struct InferenceStats {
   std::size_t fallback_nets = 0;  ///< degraded to the analytic baseline
   std::size_t failed_nets = 0;    ///< no estimate possible (zeroed outputs)
   std::size_t cached_nets = 0;    ///< served from the estimate cache
+  /// Model-served nets whose pass ran only the heads, over a net embedding
+  /// from the cache's net tier (a subset of model_nets, never of cached_nets).
+  std::size_t embedding_hits = 0;
   std::size_t slow_nets = 0;      ///< exceeded the slow-query latency budget
   /// Non-failed sinks whose slew was raised to the 1e-12 NLDM floor on the
   /// way into STA — a nonzero count means the model emitted a degenerate
@@ -184,11 +191,13 @@ struct BatchOptions {
   /// 0 disables the slow-query log.
   double slow_net_warn_seconds = 0.0;
   /// Optional content-addressed estimate cache (caller-owned, must outlive
-  /// the call; safe to share across concurrent batches). When set, each
-  /// structurally valid net is content-hashed during validation, looked up
-  /// before the model path, and model-served results are inserted after it.
-  /// Hits return the stored bytes re-tagged kCached; fallback/failed results
-  /// are never cached.
+  /// the call; safe to share across concurrent batches, but tied to one
+  /// estimator). When set, each structurally valid net is content-hashed
+  /// during validation and looked up before the model path: first by (net,
+  /// context), whose hits return the stored bytes re-tagged kCached; then by
+  /// net alone, whose hits run only the heads over the stored embedding
+  /// (provenance kModel, NetOutcome::embedding_hit). A full model pass
+  /// inserts into both tiers; fallback/failed results are never cached.
   EstimateCache* cache = nullptr;
   /// When set, resized to the batch and filled with one outcome per net.
   std::vector<NetOutcome>* outcomes = nullptr;
@@ -293,10 +302,26 @@ class WireTimingEstimator {
 
   /// Model path for one *structurally valid* net: feature extraction +
   /// forward + unstandardize, with every failure mode (including injected
-  /// ones) converted into a Status instead of escaping.
+  /// ones) converted into a Status instead of escaping. When \p embedding is
+  /// non-null and the pass succeeds, it receives the net-only half of the
+  /// pass for the estimate cache's net tier.
   [[nodiscard]] Expected<std::vector<PathEstimate>> run_model_path(
       const rcnet::RcNet& net, const features::NetContext& context,
-      nn::Workspace* workspace, StageSeconds* stages) const;
+      nn::Workspace* workspace, StageSeconds* stages,
+      NetEmbedding* embedding = nullptr) const;
+
+  /// The same model pass for a net whose embedding is cached: H from the
+  /// stored net columns plus \p context, then the heads only. Bitwise equal
+  /// to run_model_path on that net, with the same forward fault sites.
+  [[nodiscard]] Expected<std::vector<PathEstimate>> run_heads_path(
+      const rcnet::RcNet& net, const NetEmbedding& embedding,
+      const features::NetContext& context, nn::Workspace* workspace,
+      StageSeconds* stages) const;
+
+  /// Standardized predictions -> per-path estimates in seconds.
+  [[nodiscard]] std::vector<PathEstimate> unstandardize(
+      const nn::WirePrediction& pred,
+      const std::vector<rcnet::NodeId>& sinks) const;
 
   std::unique_ptr<nn::WireModel> model_;
   features::Standardizer standardizer_;
@@ -359,9 +384,11 @@ class EstimatorWireSource final : public netlist::WireTimingSource {
   }
 
   /// Attaches an owned content-addressed estimate cache used by every
-  /// subsequent time_nets batch. ECO flows get invalidation for free: an
-  /// edited net's parasitics hash to a new key, so only genuinely unchanged
-  /// cones hit. Replaces any previous cache (dropping its entries).
+  /// subsequent time_net/time_nets call. ECO flows get invalidation for
+  /// free: an edited net's parasitics hash to a new key, so only genuinely
+  /// unchanged cones hit, and a net retimed under a new slew or driver hits
+  /// the net tier and runs only the heads. Replaces any previous cache
+  /// (dropping its entries).
   void enable_cache(const EstimateCacheConfig& config);
 
   /// The attached cache, or nullptr when caching is off.
@@ -385,10 +412,16 @@ class EstimatorWireSource final : public netlist::WireTimingSource {
     serving_options_ = options;
   }
 
+  /// A one-request batch: the same degradation ladder, cache and stats() as
+  /// time_nets, so IncrementalSta retimes get both cache tiers and degrade on
+  /// a model fault exactly as the full run_sta does. The autoscaler is not
+  /// consulted: one-net retimes neither resize the pool nor feed its
+  /// utilization estimate.
   [[nodiscard]] std::vector<sim::SinkTiming> time_net(
       const rcnet::RcNet& net, double input_slew,
       double driver_resistance) override;
 
+  /// One batch through estimate_batch, after the autoscaler's decision.
   [[nodiscard]] std::vector<std::vector<sim::SinkTiming>> time_nets(
       std::span<const netlist::WireTimingRequest> requests) override;
 
@@ -400,6 +433,13 @@ class EstimatorWireSource final : public netlist::WireTimingSource {
   }
 
  private:
+  /// The shared body of time_net and time_nets: \p requests through
+  /// estimate_batch at the current thread count with this source's cache,
+  /// merged into stats(); this batch's counters land in \p batch_stats.
+  [[nodiscard]] std::vector<std::vector<sim::SinkTiming>> run_batch(
+      std::span<const netlist::WireTimingRequest> requests,
+      InferenceStats& batch_stats);
+
   /// Derives the feature context (driver cell, load cells) of \p net.
   [[nodiscard]] features::NetContext context_for(const rcnet::RcNet& net,
                                                  double input_slew,

@@ -182,15 +182,9 @@ nn::GraphSample Standardizer::make_sample(const WireRecord& record) const {
     const std::size_t c = i % kNodeFeatureCount;
     x[i] = static_cast<float>((x[i] - x_mean_[c]) / x_std_[c]);
   }
-  std::vector<float> h = record.raw.h;
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    const std::size_t c = i % kPathFeatureCount;
-    h[i] = static_cast<float>((h[i] - h_mean_[c]) / h_std_[c]);
-  }
   sample.x = tensor::Tensor::from_data(std::move(x), sample.node_count,
                                        kNodeFeatureCount);
-  sample.h =
-      tensor::Tensor::from_data(std::move(h), sample.path_count, kPathFeatureCount);
+  sample.h = standardize_path_features(record.raw.h);
 
   build_graph_operators(record.net, record.raw.analysis, operators_, sample);
 
@@ -207,6 +201,15 @@ nn::GraphSample Standardizer::make_sample(const WireRecord& record) const {
   sample.slew_seconds = record.slew_labels;
   sample.delay_seconds = record.delay_labels;
   return sample;
+}
+
+tensor::Tensor Standardizer::standardize_path_features(std::vector<float> h) const {
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    const std::size_t c = i % kPathFeatureCount;
+    h[i] = static_cast<float>((h[i] - h_mean_[c]) / h_std_[c]);
+  }
+  const std::size_t rows = h.size() / kPathFeatureCount;
+  return tensor::Tensor::from_data(std::move(h), rows, kPathFeatureCount);
 }
 
 void Standardizer::save(std::ostream& out) const {

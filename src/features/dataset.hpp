@@ -47,6 +47,11 @@ class Standardizer {
   /// with the graph operators in operators() and no others.
   [[nodiscard]] nn::GraphSample make_sample(const WireRecord& record) const;
 
+  /// Standardizes raw path features ([rows x kPathFeatureCount], row-major,
+  /// as RawFeatures::h) into the H tensor make_sample puts in a sample, with
+  /// the same arithmetic (fit() must have run).
+  [[nodiscard]] tensor::Tensor standardize_path_features(std::vector<float> h) const;
+
   /// The graph operators make_sample builds: all of them by default.
   /// WireTimingEstimator narrows this to what its model reads
   /// (nn::WireModel::operators()). Not serialized.

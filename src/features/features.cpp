@@ -1,5 +1,6 @@
 #include "features/features.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -71,6 +72,51 @@ NetContext random_context(const cell::CellLibrary& library,
   return ctx;
 }
 
+namespace {
+
+// Scale factors keeping raw features in O(1) ranges before standardization
+// (fF, ps, kOhm) so float32 accumulation stays well-conditioned.
+constexpr double kF = 1e15;   // farads -> fF
+constexpr double kS = 1e12;   // seconds -> ps
+constexpr double kR = 1e-3;   // ohms -> kOhm
+
+/// Writes the context columns [0, kNetPathColumnBase) of path \p q's raw H
+/// row: the one writer of those columns, so extract_features and
+/// path_features agree bitwise.
+void write_context_columns(const NetContext& context, std::size_t q, float* row) {
+  const SinkLoad& load = context.loads[q];
+  row[kInputSlew] = static_cast<float>(context.input_slew * kS);
+  row[kDriveStrength] = static_cast<float>(context.driver_strength);
+  row[kDriveFunction] = static_cast<float>(context.driver_function);
+  row[kLoadStrength] = static_cast<float>(load.drive_strength);
+  row[kLoadFunction] = static_cast<float>(load.function);
+  row[kLoadCeff] = static_cast<float>(load.input_cap * kF);
+}
+
+}  // namespace
+
+std::vector<float> net_path_columns(std::span<const float> h) {
+  const std::size_t paths = h.size() / kPathFeatureCount;
+  std::vector<float> out(paths * kNetPathColumnCount);
+  for (std::size_t q = 0; q < paths; ++q)
+    std::copy_n(h.data() + q * kPathFeatureCount + kNetPathColumnBase,
+                kNetPathColumnCount, out.data() + q * kNetPathColumnCount);
+  return out;
+}
+
+std::vector<float> path_features(const NetContext& context,
+                                 std::span<const float> net_columns) {
+  const std::size_t paths = net_columns.size() / kNetPathColumnCount;
+  std::vector<float> h(paths * kPathFeatureCount);
+  for (std::size_t q = 0; q < paths; ++q) {
+    float* row = h.data() + q * kPathFeatureCount;
+    write_context_columns(context, q, row);
+    std::copy_n(net_columns.data() + q * kNetPathColumnCount,
+                kNetPathColumnCount, row + kNetPathColumnBase);
+  }
+  return h;
+}
+
 RawFeatures extract_features(const rcnet::RcNet& net, const NetContext& context) {
   if (context.loads.size() != net.sinks.size())
     throw std::invalid_argument("extract_features: context.loads misaligned");
@@ -79,12 +125,6 @@ RawFeatures extract_features(const rcnet::RcNet& net, const NetContext& context)
   rf.analysis = sim::analyze_wire(net);
   const sim::WireAnalysis& wa = rf.analysis;
   const std::size_t n = net.node_count();
-
-  // Scale factors keeping raw features in O(1) ranges before standardization
-  // (fF, ps, kOhm) so float32 accumulation stays well-conditioned.
-  constexpr double kF = 1e15;   // farads -> fF
-  constexpr double kS = 1e12;   // seconds -> ps
-  constexpr double kR = 1e-3;   // ohms -> kOhm
 
   const rcnet::Adjacency adj = rcnet::build_adjacency(net);
   rf.x.assign(n * kNodeFeatureCount, 0.0f);
@@ -123,13 +163,7 @@ RawFeatures extract_features(const rcnet::RcNet& net, const NetContext& context)
   for (std::size_t q = 0; q < p; ++q) {
     float* row = rf.h.data() + q * kPathFeatureCount;
     const NodeId sink = wa.paths[q].sink;
-    const SinkLoad& load = context.loads[q];
-    row[kInputSlew] = static_cast<float>(context.input_slew * kS);
-    row[kDriveStrength] = static_cast<float>(context.driver_strength);
-    row[kDriveFunction] = static_cast<float>(context.driver_function);
-    row[kLoadStrength] = static_cast<float>(load.drive_strength);
-    row[kLoadFunction] = static_cast<float>(load.function);
-    row[kLoadCeff] = static_cast<float>(load.input_cap * kF);
+    write_context_columns(context, q, row);
     row[kElmoreDelay] = static_cast<float>(wa.moments.m1[sink] * kS);
     row[kD2mDelay] = static_cast<float>(wa.d2m[sink] * kS);
     const double m1 = wa.moments.m1[sink];

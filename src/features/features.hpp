@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,17 @@ enum PathFeature : std::size_t {
   kImpulseSpread,
   kPathFeatureCount
 };
+
+/// The path-feature columns that depend on the net alone: the trailing
+/// moment-derived block (Elmore, D2M, impulse spread). Every column before
+/// kNetPathColumnBase is timing context.
+inline constexpr std::size_t kNetPathColumnBase = kElmoreDelay;
+inline constexpr std::size_t kNetPathColumnCount =
+    kPathFeatureCount - kNetPathColumnBase;
+static_assert(kD2mDelay == kNetPathColumnBase + 1 &&
+                  kImpulseSpread == kNetPathColumnBase + 2 &&
+                  kNetPathColumnCount == 3,
+              "the net-only path columns must be the trailing block");
 
 /// Load cell attached to one sink.
 struct SinkLoad {
@@ -100,6 +112,20 @@ struct RawFeatures {
 /// Precondition: net.validate() is empty; context.loads covers net.sinks.
 [[nodiscard]] RawFeatures extract_features(const rcnet::RcNet& net,
                                            const NetContext& context);
+
+/// The net-only columns of raw path features \p h (RawFeatures::h), row by
+/// row: [path_count x kNetPathColumnCount]. A context change leaves them
+/// untouched, so a cache can keep them per net.
+[[nodiscard]] std::vector<float> net_path_columns(std::span<const float> h);
+
+/// Raw path features of a net under \p context, from that net's
+/// net_path_columns output: bitwise the RawFeatures::h extract_features
+/// returns for the net under \p context, whose context columns come from
+/// the same writer.
+///
+/// Precondition: context.loads has one entry per row of \p net_columns.
+[[nodiscard]] std::vector<float> path_features(const NetContext& context,
+                                               std::span<const float> net_columns);
 
 /// Stable, metric-name-safe ([a-z0-9_]) names for every input feature column,
 /// in monitoring order: the kNodeFeatureCount node columns ("node_*"), then

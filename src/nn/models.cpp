@@ -42,6 +42,11 @@ OperatorSet WireModel::operators() const {
 
 WirePrediction WireModel::forward(const GraphSample& sample,
                                   Workspace* workspace) const {
+  return predict(embed(sample, workspace), sample.h, workspace);
+}
+
+tensor::Tensor WireModel::embed(const GraphSample& sample,
+                                Workspace* workspace) const {
   const OperatorSet need = operators();
   const std::size_t n = sample.node_count;
   auto square = [n](const tensor::GraphMatrix& m) { return m.rows == n && m.cols == n; };
@@ -57,12 +62,20 @@ WirePrediction WireModel::forward(const GraphSample& sample,
     throw std::invalid_argument(name() + ": sample '" + sample.net_name +
                                 "' was built without " + missing);
 
+  if (!workspace) return run_embed(sample);
+  const tensor::ScratchArena::Scope scope(workspace->arena);
+  return run_embed(sample);
+}
+
+WirePrediction WireModel::predict(const tensor::Tensor& pooled,
+                                  const tensor::Tensor& h,
+                                  Workspace* workspace) const {
   WirePrediction pred;
   if (!workspace) {
-    pred = run_forward(sample);
+    pred = run_predict(pooled, h);
   } else {
-    tensor::ScratchArena::Scope scope(workspace->arena);
-    pred = run_forward(sample);
+    const tensor::ScratchArena::Scope scope(workspace->arena);
+    pred = run_predict(pooled, h);
   }
   // Final boundary guard for every architecture: predictions are [P,1], so
   // this scan is negligible next to the forward pass it protects.
@@ -132,7 +145,7 @@ class GnnTransModel final : public WireModel {
                              config.cascade_delay_head, rng);
   }
 
-  [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
+  [[nodiscard]] Tensor run_embed(const GraphSample& sample) const override {
     const tensor::GraphMatrix& agg =
         config_.use_edge_weights ? sample.weighted_adj : sample.mean_adj;
     Tensor x = sample.x;
@@ -150,11 +163,14 @@ class GnnTransModel final : public WireModel {
                           config_.global_attention ? kNoMask : sample.attn_mask);
       guard_finite(x, "attention");
     }
+    return tensor::spmm(sample.path_pool, x);  // Eq. (4) mean part
+  }
+
+  [[nodiscard]] WirePrediction run_predict(const Tensor& pooled,
+                                           const Tensor& h) const override {
     const telemetry::TraceSpan span("heads", "model");
-    Tensor pooled = tensor::spmm(sample.path_pool, x);  // Eq. (4) mean part
-    if (config_.use_path_features)
-      pooled = tensor::concat_cols({pooled, sample.h});  // Eq. (4) concat part
-    return heads_.predict(pooled);
+    if (!config_.use_path_features) return heads_.predict(pooled);
+    return heads_.predict(tensor::concat_cols({pooled, h}));  // Eq. (4) concat
   }
 
   [[nodiscard]] std::vector<Tensor> parameters() const override {
@@ -184,10 +200,24 @@ class GnnTransModel final : public WireModel {
   PredictionHeads heads_;
 };
 
+/// The four baselines mean-pool node representations into the heads and
+/// never read the path features H (the paper's experimental setup).
+class BaselineModel : public WireModel {
+ protected:
+  using WireModel::WireModel;
+
+  [[nodiscard]] WirePrediction run_predict(const Tensor& pooled,
+                                           const Tensor& /*h*/) const final {
+    return heads_.predict(pooled);
+  }
+
+  PredictionHeads heads_;
+};
+
 /// GraphSage baseline: mean aggregation, depth L, mean pooling (no H).
-class GraphSageModel final : public WireModel {
+class GraphSageModel final : public BaselineModel {
  public:
-  explicit GraphSageModel(const ModelConfig& config) : WireModel(config) {
+  explicit GraphSageModel(const ModelConfig& config) : BaselineModel(config) {
     std::mt19937_64 rng(config.seed);
     layers_.reserve(config.gnn_layers);
     for (std::size_t l = 0; l < config.gnn_layers; ++l)
@@ -197,10 +227,10 @@ class GraphSageModel final : public WireModel {
                              config.cascade_delay_head, rng);
   }
 
-  [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
+  [[nodiscard]] Tensor run_embed(const GraphSample& sample) const override {
     Tensor x = sample.x;
     for (const SageConv& layer : layers_) x = layer.forward(x, sample.mean_adj);
-    return heads_.predict(tensor::spmm(sample.path_pool, x));
+    return tensor::spmm(sample.path_pool, x);
   }
 
   [[nodiscard]] std::vector<Tensor> parameters() const override {
@@ -223,13 +253,12 @@ class GraphSageModel final : public WireModel {
 
  private:
   std::vector<SageConv> layers_;
-  PredictionHeads heads_;
 };
 
 /// GCNII baseline: residual + identity mapping to fight over-smoothing.
-class GcniiModel final : public WireModel {
+class GcniiModel final : public BaselineModel {
  public:
-  explicit GcniiModel(const ModelConfig& config) : WireModel(config) {
+  explicit GcniiModel(const ModelConfig& config) : BaselineModel(config) {
     std::mt19937_64 rng(config.seed);
     input_ = Linear(config.node_feature_dim, config.hidden_dim, rng);
     layers_.reserve(config.gnn_layers);
@@ -242,12 +271,12 @@ class GcniiModel final : public WireModel {
                              config.cascade_delay_head, rng);
   }
 
-  [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
+  [[nodiscard]] Tensor run_embed(const GraphSample& sample) const override {
     const Tensor x0 = tensor::relu(input_.forward(sample.x));
     Tensor x = x0;
     for (const GcniiLayer& layer : layers_)
       x = layer.forward(x, x0, sample.gcnii_adj);
-    return heads_.predict(tensor::spmm(sample.path_pool, x));
+    return tensor::spmm(sample.path_pool, x);
   }
 
   [[nodiscard]] std::vector<Tensor> parameters() const override {
@@ -274,13 +303,12 @@ class GcniiModel final : public WireModel {
  private:
   Linear input_;
   std::vector<GcniiLayer> layers_;
-  PredictionHeads heads_;
 };
 
 /// GAT baseline: multi-head additive attention over neighbors.
-class GatModel final : public WireModel {
+class GatModel final : public BaselineModel {
  public:
-  explicit GatModel(const ModelConfig& config) : WireModel(config) {
+  explicit GatModel(const ModelConfig& config) : BaselineModel(config) {
     std::mt19937_64 rng(config.seed);
     layers_.reserve(config.gnn_layers);
     for (std::size_t l = 0; l < config.gnn_layers; ++l)
@@ -290,10 +318,10 @@ class GatModel final : public WireModel {
                              config.cascade_delay_head, rng);
   }
 
-  [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
+  [[nodiscard]] Tensor run_embed(const GraphSample& sample) const override {
     Tensor x = sample.x;
     for (const GatLayer& layer : layers_) x = layer.forward(x, sample.attn_mask);
-    return heads_.predict(tensor::spmm(sample.path_pool, x));
+    return tensor::spmm(sample.path_pool, x);
   }
 
   [[nodiscard]] std::vector<Tensor> parameters() const override {
@@ -316,13 +344,12 @@ class GatModel final : public WireModel {
 
  private:
   std::vector<GatLayer> layers_;
-  PredictionHeads heads_;
 };
 
 /// Graph transformer baseline [19]: neighbor-masked attention + feed-forward.
-class GraphTransformerModel final : public WireModel {
+class GraphTransformerModel final : public BaselineModel {
  public:
-  explicit GraphTransformerModel(const ModelConfig& config) : WireModel(config) {
+  explicit GraphTransformerModel(const ModelConfig& config) : BaselineModel(config) {
     std::mt19937_64 rng(config.seed);
     input_ = Linear(config.node_feature_dim, config.hidden_dim, rng);
     attention_.reserve(config.gnn_layers);
@@ -335,13 +362,13 @@ class GraphTransformerModel final : public WireModel {
                              config.cascade_delay_head, rng);
   }
 
-  [[nodiscard]] WirePrediction run_forward(const GraphSample& sample) const override {
+  [[nodiscard]] Tensor run_embed(const GraphSample& sample) const override {
     Tensor x = tensor::relu(input_.forward(sample.x));
     for (std::size_t l = 0; l < attention_.size(); ++l) {
       x = attention_[l].forward(x, sample.attn_mask);
       x = ffn_[l].forward(x);
     }
-    return heads_.predict(tensor::spmm(sample.path_pool, x));
+    return tensor::spmm(sample.path_pool, x);
   }
 
   [[nodiscard]] std::vector<Tensor> parameters() const override {
@@ -380,7 +407,6 @@ class GraphTransformerModel final : public WireModel {
   Linear input_;
   std::vector<SelfAttentionLayer> attention_;
   std::vector<FeedForward> ffn_;
-  PredictionHeads heads_;
 };
 
 constexpr char kModelMagic[] = "GNNTRANS_MODEL";

@@ -6,7 +6,8 @@
 /// standardized per-path slew and delay ([P,1] each). GNNTrans additionally
 /// consumes the path feature matrix H in its pooling module (Eq. 4); the
 /// baselines mean-pool node representations only, exactly as the paper's
-/// experimental setup describes.
+/// experimental setup describes. Every model splits at the heads: embed()
+/// depends on the net alone, predict() adds H, the only context input.
 #pragma once
 
 #include <iosfwd>
@@ -62,7 +63,24 @@ class WireModel {
   /// scratch arena and recycled across calls instead of hitting the heap —
   /// numerics are identical either way. The workspace must not be shared by
   /// concurrent callers; use one per thread.
+  ///
+  /// Exactly predict(embed(sample), sample.h): the one forward code path.
   [[nodiscard]] WirePrediction forward(const GraphSample& sample,
+                                       Workspace* workspace = nullptr) const;
+
+  /// The net half of the forward pass: the pooled [P, hidden] path
+  /// representation. It reads only the node features and graph operators,
+  /// never the path features H (the timing context), so it can be reused
+  /// across every context the same net is timed under.
+  [[nodiscard]] tensor::Tensor embed(const GraphSample& sample,
+                                     Workspace* workspace = nullptr) const;
+
+  /// The context half: the heads over \p pooled (an embed() output), with
+  /// the standardized path features \p h concatenated first where the
+  /// architecture reads them (GNNTrans with use_path_features; the baselines
+  /// ignore \p h). Both outputs pass the same finite guard as forward().
+  [[nodiscard]] WirePrediction predict(const tensor::Tensor& pooled,
+                                       const tensor::Tensor& h,
                                        Workspace* workspace = nullptr) const;
 
   /// All trainable parameters (stable order).
@@ -70,10 +88,10 @@ class WireModel {
 
   [[nodiscard]] virtual ModelKind kind() const = 0;
 
-  /// The graph operators run_forward reads, given kind() and the ablation
-  /// switches. forward() throws std::invalid_argument when \p sample lacks
-  /// one of them, so a sample built for another model cannot be read as an
-  /// empty (for the mask: "global") operator.
+  /// The graph operators run_embed reads, given kind() and the ablation
+  /// switches. embed(), and so forward(), throws std::invalid_argument when
+  /// \p sample lacks one of them, so a sample built for another model cannot
+  /// be read as an empty (for the mask: "global") operator.
   [[nodiscard]] OperatorSet operators() const;
   [[nodiscard]] std::string name() const { return to_string(kind()); }
   [[nodiscard]] const ModelConfig& config() const noexcept { return config_; }
@@ -88,10 +106,13 @@ class WireModel {
  protected:
   explicit WireModel(ModelConfig config) : config_(config) {}
 
-  /// Architecture-specific forward pass; the allocation policy (scratch arena
-  /// vs heap) is handled by the public forward() wrapper.
-  [[nodiscard]] virtual WirePrediction run_forward(
+  /// Architecture-specific halves of the forward pass; the allocation policy
+  /// (scratch arena vs heap) and the guards are handled by the public
+  /// embed()/predict() wrappers.
+  [[nodiscard]] virtual tensor::Tensor run_embed(
       const GraphSample& sample) const = 0;
+  [[nodiscard]] virtual WirePrediction run_predict(
+      const tensor::Tensor& pooled, const tensor::Tensor& h) const = 0;
 
   ModelConfig config_;
 };

@@ -388,6 +388,30 @@ TEST_F(AutoscaleServingTest, AutoscaledStaMatchesSingleThread) {
   ASSERT_NE(scaled.autoscaler(), nullptr);
 }
 
+TEST_F(AutoscaleServingTest, SingleNetRetimesLeaveThePoolAlone) {
+  // IncrementalSta retimes one net at a time through time_net. Those calls
+  // must not drive the controller: a one-net "batch" would shrink the pool
+  // to min_threads and feed one-net utilization into the next run_sta.
+  netlist::DesignGenConfig cfg;
+  cfg.seed = 7;
+  cfg.levels = 3;
+  cfg.cells_per_level = 5;
+  cfg.startpoints = 3;
+  const netlist::Design design =
+      netlist::generate_design(cfg, *library_, "retime_pool");
+
+  core::EstimatorWireSource source(*estimator_, design, *library_, 4);
+  source.enable_autoscale(test_config());
+  for (const netlist::DesignNet& net : design.nets)
+    (void)source.time_net(net.rc, 20e-12, 500.0);
+
+  EXPECT_EQ(source.threads(), 4u);
+  ASSERT_NE(source.autoscaler(), nullptr);
+  EXPECT_EQ(source.autoscaler()->resize_count(), 0u);
+  EXPECT_EQ(source.autoscaler()->service_time_ewma(), 0.0);
+  EXPECT_EQ(source.stats().nets, design.nets.size());
+}
+
 TEST_F(AutoscaleServingTest, WorkspacesTrimmedOnShrink) {
   netlist::DesignGenConfig cfg;
   cfg.seed = 6;

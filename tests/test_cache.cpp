@@ -7,8 +7,10 @@
 // rejection before the key is even formed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/telemetry/telemetry.hpp"
 #include "features/dataset.hpp"
 #include "netlist/generate.hpp"
+#include "netlist/incremental.hpp"
 #include "netlist/sta.hpp"
 #include "rcnet/generate.hpp"
 
@@ -54,6 +57,35 @@ void expect_same_values(const std::vector<PathEstimate>& got,
     EXPECT_EQ(got[i].slew, want[i].slew);    // bitwise (no tolerance)
     EXPECT_EQ(got[i].delay, want[i].delay);  // bitwise (no tolerance)
   }
+}
+
+// Deterministic synthetic net-tier payload, a pure function of \p tag
+// (4 pooled columns per path).
+core::NetEmbedding make_embedding(std::uint64_t tag, std::size_t paths) {
+  core::NetEmbedding e;
+  e.node_count = tag + paths + 1;
+  for (std::size_t q = 0; q < paths; ++q)
+    e.sinks.push_back(static_cast<rcnet::NodeId>(tag + q));
+  for (std::size_t i = 0; i < paths * 4; ++i)
+    e.pooled.push_back(static_cast<float>(tag) + 0.25f * static_cast<float>(i));
+  for (std::size_t i = 0; i < paths * features::kNetPathColumnCount; ++i)
+    e.path_columns.push_back(static_cast<float>(tag) * 0.5f + static_cast<float>(i));
+  return e;
+}
+
+// A net with the node count and sinks make_embedding(tag, paths) fits: the
+// shape lookup_net checks a stored embedding against.
+rcnet::RcNet shaped_net(std::uint64_t tag, std::size_t paths) {
+  const core::NetEmbedding e = make_embedding(tag, paths);
+  rcnet::RcNet net;
+  net.ground_cap.assign(e.node_count, 0.0);
+  net.sinks = e.sinks;
+  return net;
+}
+
+bool same_embedding(const core::NetEmbedding& a, const core::NetEmbedding& b) {
+  return a.node_count == b.node_count && a.sinks == b.sinks &&
+         a.pooled == b.pooled && a.path_columns == b.path_columns;
 }
 
 // Bytes one single-path entry charges against the shard budget, measured
@@ -182,6 +214,101 @@ TEST(CacheUnit, EvictionUnderPressureIsDeterministicAndByteBounded) {
   }
 }
 
+TEST(CacheUnit, NetTierRoundtripKeepsFullKeyCountersApart) {
+  EstimateCache cache(EstimateCacheConfig{.capacity_bytes = 1 << 20,
+                                          .shards = 4});
+  const rcnet::RcNet net = shaped_net(5, 3);
+  EXPECT_EQ(cache.lookup_net(0xabcULL, net), nullptr);
+  cache.insert_net(0xabcULL, make_embedding(5, 3));
+  const auto hit = cache.lookup_net(0xabcULL, net);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_TRUE(same_embedding(*hit, make_embedding(5, 3)));
+  EXPECT_EQ(hit->path_count(), 3u);
+
+  // A full key with the same net hash is a different entry of the other tier.
+  std::vector<PathEstimate> out;
+  EXPECT_FALSE(cache.lookup(EstimateCache::make_key(0xabcULL, 0), &out));
+
+  // A racing second insert keeps the first copy.
+  cache.insert_net(0xabcULL, make_embedding(6, 3));
+  EXPECT_TRUE(
+      same_embedding(*cache.lookup_net(0xabcULL, net), make_embedding(5, 3)));
+
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.net_hits, 2u);
+  EXPECT_EQ(stats.net_misses, 1u);
+  EXPECT_EQ(stats.hits, 0u);        // full-key counters keep their meaning
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.insertions, 0u);  // full-key insertions only
+  EXPECT_EQ(stats.entries, 1u);     // residency covers both tiers
+  EXPECT_GT(stats.resident_bytes, 0u);
+  EXPECT_EQ(stats.resident_bytes, stats.inserted_bytes);
+
+  cache.clear();
+  EXPECT_EQ(cache.lookup_net(0xabcULL, net), nullptr);
+  EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(CacheUnit, NetTierEntryThatDoesNotFitTheNetIsAMiss) {
+  // The net key is one 64-bit hash, so another net can land on a stored
+  // embedding. One whose node count or sink list differs must miss.
+  EstimateCache cache(EstimateCacheConfig{.capacity_bytes = 1 << 20,
+                                          .shards = 4});
+  cache.insert_net(0xabcULL, make_embedding(5, 3));
+
+  EXPECT_EQ(cache.lookup_net(0xabcULL, shaped_net(5, 2)), nullptr);  // fewer
+  EXPECT_EQ(cache.lookup_net(0xabcULL, shaped_net(5, 4)), nullptr);  // more
+  rcnet::RcNet bigger = shaped_net(5, 3);
+  bigger.ground_cap.push_back(0.0);
+  EXPECT_EQ(cache.lookup_net(0xabcULL, bigger), nullptr);
+  rcnet::RcNet reordered = shaped_net(5, 3);
+  std::swap(reordered.sinks[0], reordered.sinks[1]);
+  EXPECT_EQ(cache.lookup_net(0xabcULL, reordered), nullptr);
+
+  // The stored entry is untouched and still serves the net it fits.
+  EXPECT_NE(cache.lookup_net(0xabcULL, shaped_net(5, 3)), nullptr);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.net_misses, 4u);
+  EXPECT_EQ(stats.net_hits, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(CacheUnit, NetTierSharesTheByteBudgetAndClock) {
+  const std::uint64_t entry = one_path_entry_bytes();
+  EstimateCache probe(EstimateCacheConfig{.capacity_bytes = 1 << 20,
+                                          .shards = 1});
+  probe.insert_net(1, make_embedding(1, 1));
+  const std::uint64_t net_entry = probe.stats().inserted_bytes;
+  // One shard with room for one entry of each tier, or for two embeddings.
+  EstimateCache cache(EstimateCacheConfig{
+      .capacity_bytes = static_cast<std::size_t>(net_entry + std::max(entry, net_entry)),
+      .shards = 1});
+  const std::uint64_t budget = cache.config().capacity_bytes;
+  const CacheKey full = EstimateCache::make_key(1, 1);
+  cache.insert(full, make_paths(1, 1));
+  cache.insert_net(2, make_embedding(2, 1));
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  // Touch the embedding: the hand spares it and evicts the full entry to fit
+  // a second embedding. A held embedding stays valid whatever the hand
+  // evicts afterwards.
+  const auto held = cache.lookup_net(2, shaped_net(2, 1));
+  ASSERT_NE(held, nullptr);
+  cache.insert_net(3, make_embedding(3, 1));
+  std::vector<PathEstimate> out;
+  EXPECT_FALSE(cache.lookup(full, &out));
+  EXPECT_NE(cache.lookup_net(2, shaped_net(2, 1)), nullptr);
+  EXPECT_NE(cache.lookup_net(3, shaped_net(3, 1)), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_LE(cache.stats().resident_bytes, budget);
+
+  cache.insert(EstimateCache::make_key(4, 4), make_paths(4, 1));
+  cache.insert(EstimateCache::make_key(5, 5), make_paths(5, 1));
+  EXPECT_TRUE(same_embedding(*held, make_embedding(2, 1)));
+  EXPECT_LE(cache.stats().resident_bytes, budget);
+}
+
 TEST(CacheConcurrency, SingleShardHammerKeepsExactCounters) {
   // Force contention: pick keys that all route to shard 0 of a multi-shard
   // cache (shard_index is exposed exactly for this), then hammer them from
@@ -236,6 +363,53 @@ TEST(CacheConcurrency, SingleShardHammerKeepsExactCounters) {
   for (std::size_t k = 0; k < keys.size(); ++k)
     if (cache.lookup(keys[k], &out))
       expect_same_values(out, make_paths(k, 1 + k % 3));
+}
+
+TEST(CacheConcurrency, MixedTierHammerKeepsExactCounters) {
+  // Both tiers on one shard, under a budget small enough to evict: lookups
+  // and inserts of either tier race the shared CLOCK hand and residency.
+  EstimateCache cache(EstimateCacheConfig{.capacity_bytes = 4 * 2048,
+                                          .shards = 4});
+  std::vector<std::uint64_t> nets;
+  for (std::uint64_t seed = 1; nets.size() < 12; ++seed)
+    if (cache.shard_index(CacheKey{seed, 0}) == 0) nets.push_back(seed);
+  std::vector<rcnet::RcNet> shapes;
+  for (std::size_t k = 0; k < nets.size(); ++k)
+    shapes.push_back(shaped_net(k, 1 + k % 3));
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kOpsPerThread = 1500;
+  std::vector<std::thread> workers;
+  std::atomic<std::size_t> mismatches{0};
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      std::mt19937_64 rng(2000 + t);
+      std::vector<PathEstimate> out;
+      for (std::size_t op = 0; op < kOpsPerThread; ++op) {
+        const std::size_t k = rng() % nets.size();
+        if (op % 2 == 0) {
+          const auto hit = cache.lookup_net(nets[k], shapes[k]);
+          if (!hit)
+            cache.insert_net(nets[k], make_embedding(k, 1 + k % 3));
+          else if (!same_embedding(*hit, make_embedding(k, 1 + k % 3)))
+            ++mismatches;
+        } else {
+          const CacheKey key{nets[k], 0};
+          if (!cache.lookup(key, &out))
+            cache.insert(key, make_paths(k, 1 + k % 3));
+          else if (out.size() != 1 + k % 3)
+            ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.net_hits + stats.net_misses, kThreads * kOpsPerThread / 2);
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kOpsPerThread / 2);
+  EXPECT_LE(stats.resident_bytes, cache.config().capacity_bytes);
 }
 
 // --- key derivation -------------------------------------------------------
@@ -582,6 +756,164 @@ TEST_F(CacheServingTest, WireSourceEcoEditRetimesOnlyChangedContent) {
   const auto eco = cached.cache()->stats();
   EXPECT_EQ(eco.hits - warm.hits, design.nets.size() - 1);
   EXPECT_EQ(eco.misses - warm.misses, 1u);
+}
+
+// The net tier: the same nets under new contexts miss the full key, hit the
+// stored embedding and run only the heads. The answers are bitwise equal to
+// a cache-off model pass at any thread count, and stay model results.
+TEST_F(CacheServingTest, NetTierHitsAreBitwiseEqualToCacheOffAcrossThreads) {
+  std::mt19937_64 rng(321);
+  std::vector<features::NetContext> retimed_contexts;
+  for (const rcnet::RcNet& net : nets_)
+    retimed_contexts.push_back(features::random_context(*library_, net, rng));
+  std::vector<core::NetBatchItem> retimed(nets_.size());
+  for (std::size_t i = 0; i < nets_.size(); ++i)
+    retimed[i] = {&nets_[i], &retimed_contexts[i]};
+  const auto reference = estimator_->estimate_batch(retimed, {.threads = 1});
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    EstimateCache cache;
+    core::BatchOptions opts;
+    opts.threads = threads;
+    opts.cache = &cache;
+    std::vector<core::NetOutcome> outcomes;
+    opts.outcomes = &outcomes;
+    (void)estimator_->estimate_batch(items(), opts);  // fills both tiers
+
+    core::InferenceStats stats;
+    const auto got = estimator_->estimate_batch(retimed, opts, &stats);
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expect_same_values(got[i], reference[i]);
+      EXPECT_EQ(outcomes[i].provenance, EstimateProvenance::kModel);
+      EXPECT_TRUE(outcomes[i].embedding_hit);
+      for (const PathEstimate& pe : got[i])
+        EXPECT_EQ(pe.provenance, EstimateProvenance::kModel);
+    }
+    expect_identity(stats);
+    EXPECT_EQ(stats.model_nets, nets_.size());
+    EXPECT_EQ(stats.embedding_hits, nets_.size());
+    EXPECT_EQ(stats.cached_nets, 0u);
+    EXPECT_NE(stats.summary().find("embedding hits"), std::string::npos);
+
+    const auto c = cache.stats();
+    EXPECT_EQ(c.hits, 0u);
+    EXPECT_EQ(c.misses, 2 * nets_.size());
+    EXPECT_EQ(c.net_misses, nets_.size());
+    EXPECT_EQ(c.net_hits, nets_.size());
+    EXPECT_EQ(c.insertions, 2 * nets_.size());  // both passes' full keys
+    EXPECT_EQ(c.entries, 3 * nets_.size());     // plus one embedding per net
+  }
+  const std::string prom = telemetry::MetricsRegistry::global().prometheus_text();
+  EXPECT_NE(prom.find("gnntrans_cache_net_hits_total"), std::string::npos);
+  EXPECT_NE(prom.find("gnntrans_cache_net_misses_total"), std::string::npos);
+}
+
+// A net-tier entry stored under a net's content hash but built for another
+// net (a hash collision, here planted directly) must not be used: the request
+// takes the full model path and answers exactly as with the cache off.
+TEST_F(CacheServingTest, NetTierCollisionTakesTheFullModelPath) {
+  std::size_t i = 0;
+  while (nets_[i].sinks.size() < 2) ++i;  // room for a shorter sink list
+  const rcnet::RcNet& net = nets_[i];
+  const core::NetBatchItem item{&net, &contexts_[i]};
+  const auto reference = estimator_->estimate_batch({&item, 1}, {.threads = 1});
+  std::uint64_t hash = 0;
+  ASSERT_TRUE(net.validate(&hash).empty());
+
+  const auto planted = [&](std::size_t paths, std::size_t nodes) {
+    core::NetEmbedding e = make_embedding(0, paths);
+    e.node_count = nodes;
+    return e;
+  };
+  // More paths than the net has sinks (a stored row with no load), fewer
+  // paths, and the right sink count over a different node count.
+  const std::size_t sinks = net.sinks.size();
+  const std::size_t nodes = net.node_count();
+  for (const core::NetEmbedding& stored :
+       {planted(sinks + 2, nodes + 2), planted(sinks - 1, nodes),
+        planted(sinks, nodes + 1)}) {
+    EstimateCache cache;
+    cache.insert_net(hash, stored);
+    core::BatchOptions opts;
+    opts.cache = &cache;
+    std::vector<core::NetOutcome> outcomes;
+    opts.outcomes = &outcomes;
+    core::InferenceStats stats;
+    const auto got = estimator_->estimate_batch({&item, 1}, opts, &stats);
+    ASSERT_EQ(got.size(), 1u);
+    expect_same_values(got[0], reference[0]);
+    EXPECT_EQ(outcomes[0].provenance, EstimateProvenance::kModel);
+    EXPECT_FALSE(outcomes[0].embedding_hit);
+    EXPECT_EQ(stats.model_nets, 1u);
+    EXPECT_EQ(stats.embedding_hits, 0u);
+    EXPECT_EQ(cache.stats().net_hits, 0u);
+    EXPECT_EQ(cache.stats().net_misses, 1u);
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_timing(const netlist::StaResult& a, const netlist::StaResult& b) {
+  return same_bits(a.arrival, b.arrival) && same_bits(a.slew, b.slew) &&
+         same_bits(a.required, b.required) && same_bits(a.slack, b.slack) &&
+         a.arrival_settled == b.arrival_settled &&
+         same_bits(a.endpoint_arrival, b.endpoint_arrival) &&
+         same_bits(a.endpoint_slack, b.endpoint_slack) &&
+         a.unsettled_sinks == b.unsettled_sinks;
+}
+
+// The ECO fuzzer (test_eco) through a learned source with the cache on:
+// IncrementalSta retimes go through EstimatorWireSource::time_net, so both
+// tiers serve the edits. Every edit must stay bitwise equal to a fresh
+// cache-off full run_sta over the mutated design.
+TEST_F(CacheServingTest, EcoFuzzThroughTheCachedEstimatorStaysBitwiseEqual) {
+  const rcnet::NetGenConfig net_cfg;
+  std::uint64_t net_hits = 0;
+  std::size_t embedding_hits = 0;
+  for (std::uint64_t seq = 1; seq <= 20; ++seq) {
+    netlist::DesignGenConfig cfg;
+    cfg.startpoints = static_cast<std::uint32_t>(3 + seq % 3);
+    cfg.levels = static_cast<std::uint32_t>(3 + seq % 2);
+    cfg.cells_per_level = static_cast<std::uint32_t>(5 + seq % 3);
+    cfg.seed = seq;
+    const netlist::Design design =
+        netlist::generate_design(cfg, *library_, "ecofuzz");
+    core::EstimatorWireSource source(*estimator_, design, *library_,
+                                     1 + seq % 2);
+    source.enable_cache({});
+    netlist::IncrementalSta inc(design, *library_, source);
+    source.rebind(inc.design());
+    std::mt19937_64 rng(seq * 0x9e3779b97f4a7c15ULL);
+    for (int edit = 0; edit < 4; ++edit) {
+      const netlist::EcoEdit applied =
+          netlist::apply_random_edit(inc, *library_, rng, net_cfg);
+      // The CLI eco flow's fix-up: a spliced buffer net is new to the
+      // source, so rebind and re-time both touched nets under their contexts.
+      if (applied.kind == netlist::EcoEdit::Kind::kInsertBuffer) {
+        source.rebind(inc.design());
+        const std::uint32_t touched[2] = {
+            applied.net,
+            static_cast<std::uint32_t>(inc.design().nets.size() - 1)};
+        for (const std::uint32_t net_idx : touched)
+          (void)inc.reroute_net(net_idx, inc.design().nets[net_idx].rc);
+      }
+      core::EstimatorWireSource fresh(*estimator_, inc.design(), *library_, 1);
+      const netlist::StaResult full =
+          netlist::run_sta(inc.design(), *library_, fresh, inc.config());
+      ASSERT_TRUE(same_timing(inc.result(), full))
+          << "seq " << seq << " edit " << edit << " (" << applied.describe()
+          << ")";
+    }
+    net_hits += source.cache()->stats().net_hits;
+    embedding_hits += source.stats().embedding_hits;
+  }
+  EXPECT_GT(net_hits, 0u) << "no edit re-timed unchanged parasitics";
+  EXPECT_EQ(embedding_hits, net_hits);  // every net-tier hit served a model pass
 }
 
 TEST_F(CacheServingTest, CacheMetricsAreExported) {

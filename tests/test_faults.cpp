@@ -8,17 +8,21 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <set>
 #include <string>
 
 #include "cell/library.hpp"
+#include "core/estimate_cache.hpp"
 #include "core/estimator.hpp"
 #include "core/fault_injector.hpp"
 #include "core/status.hpp"
 #include "core/telemetry/telemetry.hpp"
 #include "features/dataset.hpp"
+#include "netlist/generate.hpp"
+#include "netlist/incremental.hpp"
 #include "nn/guard.hpp"
 #include "rcnet/generate.hpp"
 #include "tensor/tensor.hpp"
@@ -538,6 +542,89 @@ TEST_F(FaultServingTest, NoInjectionMeansAllModelNets) {
     for (const core::PathEstimate& pe : results[i])
       EXPECT_EQ(pe.provenance, EstimateProvenance::kModel);
   }
+}
+
+// IncrementalSta re-times through EstimatorWireSource::time_net, which runs
+// the batched ladder: a forward fault on a re-timed net degrades it to the
+// analytic fallback, counted in stats(), exactly as a full run_sta over the
+// same source does, so incremental == full holds on the fault path too. The
+// fault is armed after the initial analysis, so the re-time is a net-tier
+// hit and the fault lands on the heads-only pass.
+TEST_F(FaultServingTest, EcoRetimeUnderForwardFaultDegradesLikeFullSta) {
+  netlist::DesignGenConfig cfg;
+  cfg.startpoints = 3;
+  cfg.levels = 3;
+  cfg.cells_per_level = 5;
+  cfg.seed = 5;
+  const netlist::Design design =
+      netlist::generate_design(cfg, *library_, "fault_eco");
+
+  // A net whose driver can swap to another drive strength of its function:
+  // the swap re-times that net under a new driver context.
+  std::size_t target = design.nets.size();
+  std::uint32_t new_cell = 0;
+  for (std::size_t n = 0; n < design.nets.size() && target == design.nets.size();
+       ++n) {
+    const cell::Cell& old_cell =
+        library_->at(design.instances[design.nets[n].driver].cell_index);
+    for (std::size_t c = 0; c < library_->size(); ++c) {
+      if (library_->at(c).function == old_cell.function &&
+          library_->at(c).drive_strength != old_cell.drive_strength) {
+        target = n;
+        new_cell = static_cast<std::uint32_t>(c);
+        break;
+      }
+    }
+  }
+  ASSERT_LT(target, design.nets.size());
+  const std::string target_name = design.nets[target].rc.name;
+
+  // Arm kForward on the target net only: the seed whose pure decision
+  // selects it and no other net of the design.
+  FaultInjector::Config fcfg;
+  fcfg.probability = 0.05;
+  fcfg.site_mask = core::site_bit(FaultSite::kForward);
+  bool found = false;
+  for (fcfg.seed = 1; fcfg.seed < 100000 && !found; ++fcfg.seed) {
+    FaultInjector probe;
+    probe.configure(fcfg);
+    found = probe.would_fail(FaultSite::kForward, target_name);
+    for (const netlist::DesignNet& net : design.nets)
+      if (found && net.rc.name != target_name)
+        found = !probe.would_fail(FaultSite::kForward, net.rc.name);
+  }
+  ASSERT_TRUE(found);
+  --fcfg.seed;
+
+  core::EstimatorWireSource source(*estimator_, design, *library_, 1);
+  source.enable_cache({});
+  netlist::IncrementalSta inc(design, *library_, source);
+  source.rebind(inc.design());
+  ASSERT_EQ(source.stats().fallback_nets, 0u);
+
+  FaultInjector::global().configure(fcfg);
+  const core::InferenceStats before = source.stats();
+  (void)inc.swap_cell(design.nets[target].driver, new_cell);
+  const core::InferenceStats after = source.stats();
+  EXPECT_EQ(after.fallback_nets - before.fallback_nets, 1u);
+  EXPECT_EQ(after.degraded_by_reason[static_cast<std::size_t>(ErrorCode::kInternal)] -
+                before.degraded_by_reason[static_cast<std::size_t>(ErrorCode::kInternal)],
+            1u);
+  EXPECT_EQ(FaultInjector::global().injected_at(FaultSite::kForward), 1u);
+  EXPECT_GT(source.cache()->stats().net_hits, 0u);
+
+  const netlist::StaResult full =
+      netlist::run_sta(inc.design(), *library_, source, inc.config());
+  const auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same(inc.result().arrival, full.arrival));
+  EXPECT_TRUE(same(inc.result().slew, full.slew));
+  EXPECT_TRUE(same(inc.result().required, full.required));
+  EXPECT_TRUE(same(inc.result().slack, full.slack));
+  EXPECT_EQ(inc.result().arrival_settled, full.arrival_settled);
+  EXPECT_EQ(source.stats().fallback_nets - after.fallback_nets, 1u);
 }
 
 TEST_F(FaultServingTest, SingleNetEstimateStillThrows) {

@@ -91,6 +91,35 @@ TEST(Features, MisalignedLoadsThrow) {
   EXPECT_THROW(extract_features(net, ctx), std::invalid_argument);
 }
 
+// The net-embedding cache keeps only the net-only H columns per net and
+// rebuilds the rest per context: the rebuild must be bitwise the H that
+// extract_features writes for that net under that context.
+TEST(Features, PathFeaturesRebuildExtractedHBitwise) {
+  const auto lib = cell::CellLibrary::make_default();
+  std::mt19937_64 rng(5);
+  rcnet::NetGenConfig cfg;
+  cfg.non_tree_fraction = 0.5;
+  int checked = 0;
+  for (int i = 0; i < 8; ++i) {
+    const rcnet::RcNet net = rcnet::generate_net(cfg, rng, "h" + std::to_string(i));
+    if (!net.validate().empty()) continue;
+    const NetContext first = random_context(lib, net, rng);
+    const NetContext second = random_context(lib, net, rng);
+    const std::vector<float> columns =
+        net_path_columns(extract_features(net, first).h);
+    ASSERT_EQ(columns.size(), net.sinks.size() * kNetPathColumnCount);
+    for (const NetContext* ctx : {&first, &second}) {
+      const std::vector<float> want = extract_features(net, *ctx).h;
+      const std::vector<float> got = path_features(*ctx, columns);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+          << net.name;
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 4);
+}
+
 TEST(Features, RandomContextCoversLoads) {
   const auto lib = cell::CellLibrary::make_default();
   std::mt19937_64 rng(3);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <sstream>
 
@@ -151,6 +152,69 @@ TEST_P(EveryModel, SaveLoadRoundTripPreservesForward) {
   for (std::size_t q = 0; q < s.path_count; ++q) {
     EXPECT_FLOAT_EQ(before.slew(q, 0), after.slew(q, 0));
     EXPECT_FLOAT_EQ(before.delay(q, 0), after.delay(q, 0));
+  }
+}
+
+/// The defaults plus each GNNTrans ablation switch flipped alone (the
+/// baselines ignore the switches, which the split must not care about).
+std::vector<ModelConfig> ablation_configs() {
+  std::vector<ModelConfig> out(5, small_config());
+  out[1].use_edge_weights = false;
+  out[2].global_attention = false;
+  out[3].use_path_features = false;
+  out[4].cascade_delay_head = false;
+  return out;
+}
+
+bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+bool same_prediction(const WirePrediction& a, const WirePrediction& b) {
+  return same_bits(a.slew, b.slew) && same_bits(a.delay, b.delay);
+}
+
+// The net-embedding cache rests on this: forward() is predict(embed(s), s.h)
+// bit for bit, for every kind and ablation, on the heap and in an arena, and
+// also when the embedding arrives as a detached copy (the cached form). H is
+// the only context input: a model that does not read it predicts the same
+// bits under any other H.
+TEST_P(EveryModel, SplitAtTheHeadsIsBitwiseForward) {
+  const GraphSample s = toy_sample();
+  const tensor::Tensor other_h = toy_sample(7).h;
+  for (const ModelConfig& config : ablation_configs()) {
+    const auto model = make_model(GetParam(), config);
+    const bool reads_h =
+        GetParam() == ModelKind::kGnnTrans && config.use_path_features;
+    const WirePrediction reference = model->forward(s);
+    for (const bool use_workspace : {false, true}) {
+      Workspace ws;
+      Workspace* w = use_workspace ? &ws : nullptr;
+      const tensor::Tensor pooled = model->embed(s, w);
+      ASSERT_EQ(pooled.rows(), s.path_count);
+      ASSERT_EQ(pooled.cols(), config.hidden_dim);
+      const std::vector<float> copy(pooled.values().begin(),
+                                    pooled.values().end());
+      const tensor::Tensor detached =
+          tensor::Tensor::from_data(copy, pooled.rows(), pooled.cols());
+      const std::string where = std::string(use_workspace ? "arena" : "heap") +
+                                ", edge_weights=" +
+                                std::to_string(config.use_edge_weights) +
+                                " global=" + std::to_string(config.global_attention) +
+                                " path_features=" +
+                                std::to_string(config.use_path_features) +
+                                " cascade=" + std::to_string(config.cascade_delay_head);
+      EXPECT_TRUE(same_prediction(model->forward(s, w), reference)) << where;
+      EXPECT_TRUE(same_prediction(model->predict(pooled, s.h, w), reference))
+          << where;
+      EXPECT_TRUE(same_prediction(model->predict(detached, s.h, w), reference))
+          << where;
+      EXPECT_EQ(same_prediction(model->predict(detached, other_h, w), reference),
+                !reads_h)
+          << where;
+    }
   }
 }
 

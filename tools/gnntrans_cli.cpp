@@ -461,10 +461,12 @@ void log_cache_stats(const core::EstimateCache& cache) {
   const core::EstimateCacheStats s = cache.stats();
   GNNTRANS_LOG_INFO(
       "serving",
-      "estimate cache: %.1f%% hit rate (%llu hits, %llu misses), %llu "
+      "estimate cache: %.1f%% hit rate (%llu hits, %llu misses; %llu of the "
+      "misses ran only the heads over a cached net embedding), %llu "
       "entries / %.1f MiB resident, %llu evictions",
       100.0 * s.hit_rate(), static_cast<unsigned long long>(s.hits),
       static_cast<unsigned long long>(s.misses),
+      static_cast<unsigned long long>(s.net_hits),
       static_cast<unsigned long long>(s.entries),
       static_cast<double>(s.resident_bytes) / (1024.0 * 1024.0),
       static_cast<unsigned long long>(s.evictions));
