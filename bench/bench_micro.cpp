@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <random>
+#include <vector>
 
 #include "core/estimate_cache.hpp"
 #include "core/estimator.hpp"
@@ -13,6 +14,8 @@
 #include "sim/moments.hpp"
 #include "sim/transient.hpp"
 #include "sim/wire_analysis.hpp"
+#include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 
 using namespace gnntrans;
 
@@ -79,6 +82,58 @@ void BM_FeatureExtraction(benchmark::State& state) {
     benchmark::DoNotOptimize(features::extract_features(net, ctx));
 }
 BENCHMARK(BM_FeatureExtraction)->Arg(40)->Arg(160);
+
+/// The fused attention kernel alone, one head as GNNTrans runs it (dk = dv =
+/// 4, global), under NoGradGuard: the inference path.
+void BM_Attention(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::mt19937_64 rng(15);
+  std::uniform_real_distribution<float> dist(-1.5f, 1.5f);
+  auto random = [&] {
+    tensor::Tensor t(n, 4);
+    for (float& v : t.values()) v = dist(rng);
+    return t;
+  };
+  const tensor::Tensor q = random(), k = random(), v = random();
+  tensor::NoGradGuard guard;
+  for (auto _ : state) benchmark::DoNotOptimize(tensor::attention(q, k, v, 0.5f, {}));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n * n));
+}
+BENCHMARK(BM_Attention)->Arg(16)->Arg(40)->Arg(160)->Arg(300);
+
+/// Softmax-range inputs, [-87, 0], for the exp benchmarks.
+std::vector<float> exp_inputs() {
+  std::vector<float> x(4096);
+  std::mt19937_64 rng(16);
+  std::uniform_real_distribution<float> dist(-87.0f, 0.0f);
+  for (float& v : x) v = dist(rng);
+  return x;
+}
+
+void BM_ExpF32(benchmark::State& state) {
+  const std::vector<float> x = exp_inputs();
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < x.size(); i += tensor::kLanes)
+      tensor::store4(y.data() + i, tensor::exp_f32(tensor::load4(x.data() + i)));
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_ExpF32);
+
+void BM_ExpLibm(benchmark::State& state) {
+  const std::vector<float> x = exp_inputs();
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < x.size(); ++i) y[i] = std::exp(x[i]);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_ExpLibm);
 
 /// Shared trained estimator for the inference benchmarks (built once).
 const core::WireTimingEstimator& trained_estimator() {

@@ -1,19 +1,18 @@
 // Fused scaled dot-product attention (ops.hpp: tensor::attention).
 //
-// The kernel streams one query row at a time through a row buffer of scores
+// The kernel streams blocks of four query rows through row buffers of scores
 // and never materializes an N x M tensor on the inference path. Every output
 // element sees exactly the arithmetic, in the same order, of the unfused chain
 //   matmul(masked_softmax_rows(scale(matmul_nt(q, k), s), mask), v)
 // so results are bitwise identical to it (DESIGN.md §3k gives the argument).
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 
 #include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 
 namespace gnntrans::tensor {
 
@@ -21,109 +20,111 @@ namespace {
 
 using Impl = std::shared_ptr<TensorImpl>;
 
-// Four float lanes (SSE2 on the x86-64 baseline). Lane arithmetic is the same
-// IEEE single-precision add, multiply and divide as the scalar code.
-typedef float F32x4 __attribute__((vector_size(16)));
-constexpr std::size_t kLanes = 4;
-
-F32x4 load4(const float* p) {
-  F32x4 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-void store4(float* p, F32x4 v) { std::memcpy(p, &v, sizeof v); }
+/// Query rows per attn . V pass.
+constexpr std::size_t kRowBlock = 4;
 
 /// Shapes of one attention call: n query rows, m keys, dk and dv widths.
 struct Dims {
   std::size_t n, m, dk, dv;
 };
 
+/// Attention weights of query row \p qr into \p row: the scores
+/// s * (q_r . k_j) against the transposed keys \p kt (mpad keys per row),
+/// masked keys set to -inf, then softmax_row. A fully masked row (\p mr all
+/// zero) comes out all zero.
+void weights_row(const float* qr, const float* kt, float s, const std::uint8_t* mr,
+                 Dims d, std::size_t mpad, float* row) {
+  // The matmul_nt dot in dk order, then scale.
+  for (std::size_t j = 0; j < mpad; j += kLanes) {
+    F32x4 acc = {0.0f, 0.0f, 0.0f, 0.0f};
+    for (std::size_t c = 0; c < d.dk; ++c) acc += qr[c] * load4(kt + c * mpad + j);
+    store4(row + j, s * acc);
+  }
+  bool any = mr == nullptr;
+  if (mr)
+    for (std::size_t j = 0; j < d.m; ++j) {
+      if (mr[j])
+        any = true;
+      else
+        row[j] = -std::numeric_limits<float>::infinity();
+    }
+  if (any)
+    softmax_row(row, d.m);
+  else
+    std::fill(row, row + d.m, 0.0f);
+}
+
+/// attn . V for one query row with weights \p w, in key order, skipping zero
+/// weights as matmul does; the accumulators live in registers rather than in
+/// the output row.
+void attend_row(const float* w, const float* v, Dims d, float* orow) {
+  std::size_t c0 = 0;
+  for (; c0 + kLanes <= d.dv; c0 += kLanes) {
+    F32x4 acc = {0.0f, 0.0f, 0.0f, 0.0f};
+    for (std::size_t j = 0; j < d.m; ++j) {
+      if (w[j] == 0.0f) continue;
+      acc += w[j] * load4(v + j * d.dv + c0);
+    }
+    store4(orow + c0, acc);
+  }
+  for (; c0 < d.dv; ++c0) {
+    float acc = 0.0f;
+    for (std::size_t j = 0; j < d.m; ++j) {
+      if (w[j] == 0.0f) continue;
+      acc += w[j] * v[j * d.dv + c0];
+    }
+    orow[c0] = acc;
+  }
+}
+
+/// attend_row for kRowBlock consecutive rows whose weights lie \p stride
+/// floats apart, dv a multiple of the lane count. Each row keeps its own
+/// key-order chain, so the bits are attend_row's; running four independent
+/// chains in one pass hides the add latency.
+void attend_row_block(const float* w, std::size_t stride, const float* v, Dims d,
+                      float* out) {
+  const float *w0 = w, *w1 = w + stride, *w2 = w + 2 * stride, *w3 = w + 3 * stride;
+  for (std::size_t c0 = 0; c0 < d.dv; c0 += kLanes) {
+    F32x4 a0 = {}, a1 = {}, a2 = {}, a3 = {};
+    for (std::size_t j = 0; j < d.m; ++j) {
+      const F32x4 vj = load4(v + j * d.dv + c0);
+      if (w0[j] != 0.0f) a0 += w0[j] * vj;
+      if (w1[j] != 0.0f) a1 += w1[j] * vj;
+      if (w2[j] != 0.0f) a2 += w2[j] * vj;
+      if (w3[j] != 0.0f) a3 += w3[j] * vj;
+    }
+    store4(out + c0, a0);
+    store4(out + d.dv + c0, a1);
+    store4(out + 2 * d.dv + c0, a2);
+    store4(out + 3 * d.dv + c0, a3);
+  }
+}
+
 /// Forward kernel. \p out (n x dv) arrives zeroed; \p mask is null for global
 /// attention; \p stash, when non-null, receives the n x m attention matrix.
 void attention_forward(const float* q, const float* k, const float* v, float s,
                        const std::uint8_t* mask, Dims d, float* out, float* stash) {
-  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
   const std::size_t mpad = (d.m + kLanes - 1) / kLanes * kLanes;
-  // Scratch: K transposed (dk rows of mpad keys, zero padded) + one row.
-  ScratchBuffer scratch(d.dk * mpad + mpad);
+  // Scratch: K transposed (dk rows of mpad keys, zero padded) + a block of rows.
+  ScratchBuffer scratch(d.dk * mpad + kRowBlock * mpad);
   float* kt = scratch.data();
-  float* row = kt + d.dk * mpad;
+  float* rows = kt + d.dk * mpad;
   for (std::size_t j = 0; j < d.m; ++j)
     for (std::size_t c = 0; c < d.dk; ++c) kt[c * mpad + j] = k[j * d.dk + c];
 
-  for (std::size_t r = 0; r < d.n; ++r) {
-    const float* qr = q + r * d.dk;
-    const std::uint8_t* mr = mask ? mask + r * d.m : nullptr;
-
-    // Scores s * (q_r . k_j): the matmul_nt dot in dk order, then scale.
-    for (std::size_t j = 0; j < mpad; j += kLanes) {
-      F32x4 acc = {0.0f, 0.0f, 0.0f, 0.0f};
-      for (std::size_t c = 0; c < d.dk; ++c) acc += qr[c] * load4(kt + c * mpad + j);
-      store4(row + j, s * acc);
+  for (std::size_t r0 = 0; r0 < d.n; r0 += kRowBlock) {
+    const std::size_t nr = std::min(kRowBlock, d.n - r0);
+    for (std::size_t i = 0; i < nr; ++i) {
+      const std::size_t r = r0 + i;
+      float* row = rows + i * mpad;
+      weights_row(q + r * d.dk, kt, s, mask ? mask + r * d.m : nullptr, d, mpad, row);
+      if (stash) std::copy(row, row + d.m, stash + r * d.m);
     }
-
-    // Masked keys and padding read -inf, which never wins the max below, so
-    // the max is softmax_rows' max over the unmasked keys.
-    bool any = mr == nullptr;
-    if (mr)
-      for (std::size_t j = 0; j < d.m; ++j) {
-        if (mr[j])
-          any = true;
-        else
-          row[j] = kNegInf;
-      }
-    if (!any) continue;  // fully masked row: attention and output stay zero
-    for (std::size_t j = d.m; j < mpad; ++j) row[j] = kNegInf;
-
-    // Row max, lane-wise with std::max's (a < b ? b : a), then across lanes.
-    // Only a tie between +0 and -0 can resolve differently from the scalar
-    // scan, and x - (+0) and x - (-0) have the same exp.
-    F32x4 lane_max = {kNegInf, kNegInf, kNegInf, kNegInf};
-    for (std::size_t j = 0; j < mpad; j += kLanes) {
-      const F32x4 x = load4(row + j);
-      lane_max = lane_max < x ? x : lane_max;
-    }
-    float max_v = kNegInf;
-    for (std::size_t l = 0; l < kLanes; ++l) max_v = std::max(max_v, lane_max[l]);
-
-    // exp and its denominator, scalar and in key order.
-    float denom = 0.0f;
-    for (std::size_t j = 0; j < d.m; ++j) {
-      if (mr && !mr[j]) {
-        row[j] = 0.0f;
-        continue;
-      }
-      row[j] = std::exp(row[j] - max_v);
-      denom += row[j];
-    }
-    for (std::size_t j = d.m; j < mpad; ++j) row[j] = 0.0f;
-    for (std::size_t j = 0; j < mpad; j += kLanes)
-      store4(row + j, load4(row + j) / denom);
-    if (stash) std::copy(row, row + d.m, stash + r * d.m);
-
-    // attn . V in key order, skipping zero weights as matmul does; the
-    // accumulators live in registers rather than in the output row.
-    float* orow = out + r * d.dv;
-    std::size_t c0 = 0;
-    for (; c0 + kLanes <= d.dv; c0 += kLanes) {
-      F32x4 acc = {0.0f, 0.0f, 0.0f, 0.0f};
-      for (std::size_t j = 0; j < d.m; ++j) {
-        const float av = row[j];
-        if (av == 0.0f) continue;
-        acc += av * load4(v + j * d.dv + c0);
-      }
-      store4(orow + c0, acc);
-    }
-    for (; c0 < d.dv; ++c0) {
-      float acc = 0.0f;
-      for (std::size_t j = 0; j < d.m; ++j) {
-        const float av = row[j];
-        if (av == 0.0f) continue;
-        acc += av * v[j * d.dv + c0];
-      }
-      orow[c0] = acc;
-    }
+    if (nr == kRowBlock && d.dv % kLanes == 0)
+      attend_row_block(rows, mpad, v, d, out + r0 * d.dv);
+    else
+      for (std::size_t i = 0; i < nr; ++i)
+        attend_row(rows + i * mpad, v, d, out + (r0 + i) * d.dv);
   }
 }
 

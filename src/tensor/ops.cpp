@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "tensor/simd.hpp"
+
 namespace gnntrans::tensor {
 
 namespace {
@@ -333,32 +335,60 @@ Tensor softmax_impl(const Tensor& a, const std::vector<std::uint8_t>* mask) {
         }
       });
 
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
   for (std::size_t r = 0; r < n; ++r) {
     const float* x = a.values().data() + r * m;
     float* y = out.values().data() + r * m;
-    float max_v = -std::numeric_limits<float>::infinity();
-    bool any = false;
-    for (std::size_t c = 0; c < m; ++c) {
-      if (mask && !(*mask)[r * m + c]) continue;
-      max_v = std::max(max_v, x[c]);
-      any = true;
-    }
-    if (!any) continue;  // fully masked row stays zero
-    float denom = 0.0f;
+    bool any = mask == nullptr;
     for (std::size_t c = 0; c < m; ++c) {
       if (mask && !(*mask)[r * m + c]) {
-        y[c] = 0.0f;
+        y[c] = kNegInf;
         continue;
       }
-      y[c] = std::exp(x[c] - max_v);
-      denom += y[c];
+      y[c] = x[c];
+      any = true;
     }
-    for (std::size_t c = 0; c < m; ++c) y[c] /= denom;
+    if (any)
+      softmax_row(y, m);
+    else
+      std::fill(y, y + m, 0.0f);  // fully masked row stays zero
   }
   return out;
 }
 
 }  // namespace
+
+void softmax_row(float* row, std::size_t m) {
+  if (m == 0) return;
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  const std::size_t full = m / kLanes * kLanes, tail = m - full;
+  F32x4 last = {kNegInf, kNegInf, kNegInf, kNegInf};
+  for (std::size_t l = 0; l < tail; ++l) last[l] = row[full + l];
+
+  // Row max, lane-wise with std::max's (a < b ? b : a). Only a tie between +0
+  // and -0 depends on the order, and x - (+0) and x - (-0) have the same exp.
+  F32x4 lane_max = last;
+  for (std::size_t j = 0; j < full; j += kLanes) {
+    const F32x4 x = load4(row + j);
+    lane_max = lane_max < x ? x : lane_max;
+  }
+  const float max_v =
+      std::max(std::max(lane_max[0], lane_max[1]), std::max(lane_max[2], lane_max[3]));
+
+  F32x4 lane_sum = {0.0f, 0.0f, 0.0f, 0.0f};
+  for (std::size_t j = 0; j < full; j += kLanes) {
+    const F32x4 e = exp_f32(load4(row + j) - max_v);
+    store4(row + j, e);
+    lane_sum += e;
+  }
+  last = exp_f32(last - max_v);
+  lane_sum += last;
+  const float denom = (lane_sum[0] + lane_sum[1]) + (lane_sum[2] + lane_sum[3]);
+
+  for (std::size_t j = 0; j < full; j += kLanes) store4(row + j, load4(row + j) / denom);
+  last /= denom;
+  for (std::size_t l = 0; l < tail; ++l) row[full + l] = last[l];
+}
 
 Tensor softmax_rows(const Tensor& a) { return softmax_impl(a, nullptr); }
 

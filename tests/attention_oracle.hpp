@@ -1,12 +1,15 @@
 // Shared by the attention differential tests (test_tensor, test_autograd):
-// the unfused chain tensor::attention replaces, bitwise comparison, and the
-// sizes and masks the tests sweep.
+// the unfused chain tensor::attention replaces, the libm softmax it replaced
+// in turn, bitwise comparison, and the sizes and masks the tests sweep.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <span>
 #include <vector>
@@ -29,6 +32,42 @@ inline Tensor chain(const Tensor& q, const Tensor& k, const Tensor& v, float s,
   return t::matmul(mask.empty() ? t::softmax_rows(scores)
                                 : t::masked_softmax_rows(scores, mask),
                    v);
+}
+
+/// The softmax numerics before the owned exp (test-only reference): libm
+/// std::exp and a denominator summed in key order, masked entries 0 and fully
+/// masked rows all zero. No autograd.
+inline Tensor libm_softmax_rows(const Tensor& a, const std::vector<std::uint8_t>& mask) {
+  const std::size_t n = a.rows(), m = a.cols();
+  Tensor out(n, m);
+  for (std::size_t r = 0; r < n; ++r) {
+    const float* x = a.values().data() + r * m;
+    float* y = out.values().data() + r * m;
+    auto on = [&](std::size_t c) { return mask.empty() || mask[r * m + c] != 0; };
+    float max_v = -std::numeric_limits<float>::infinity();
+    bool any = false;
+    for (std::size_t c = 0; c < m; ++c)
+      if (on(c)) {
+        max_v = std::max(max_v, x[c]);
+        any = true;
+      }
+    if (!any) continue;
+    float denom = 0.0f;
+    for (std::size_t c = 0; c < m; ++c)
+      if (on(c)) {
+        y[c] = std::exp(x[c] - max_v);
+        denom += y[c];
+      }
+    for (std::size_t c = 0; c < m; ++c) y[c] /= denom;
+  }
+  return out;
+}
+
+/// The chain with libm_softmax_rows in place of the current softmax.
+inline Tensor libm_chain(const Tensor& q, const Tensor& k, const Tensor& v, float s,
+                         const std::vector<std::uint8_t>& mask) {
+  namespace t = gnntrans::tensor;
+  return t::matmul(libm_softmax_rows(t::scale(t::matmul_nt(q, k), s), mask), v);
 }
 
 /// Bit-for-bit equality of two float ranges: +0 and -0 differ, as do NaN

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <string>
 
 #include "baseline/dac20.hpp"
 #include "core/estimator.hpp"
@@ -52,31 +54,61 @@ TEST(EndToEnd, GnnTransGeneralizesToUnseenNets) {
   EXPECT_GT(eval.slew_r2, 0.75);
 }
 
-// Table III's headline ordering: GNNTrans beats the DAC'20 baseline on
-// non-tree nets (where loop-breaking hurts).
-TEST(EndToEnd, GnnTransBeatsDac20OnNonTreeNets) {
+/// Table III's setting at miniature scale: GNNTrans and the DAC'20 baseline
+/// trained and scored on the same all-non-tree nets (seed 103).
+struct NonTreeComparison {
+  core::Evaluation gnn;
+  double dac_slew_r2 = 0.0;
+  double dac_delay_r2 = 0.0;
+};
+
+NonTreeComparison compare_on_non_tree_nets() {
   const auto recs = dataset(160, 103, /*non_tree_fraction=*/1.0);
   const std::vector<features::WireRecord> train(recs.begin(), recs.begin() + 128);
   const std::vector<features::WireRecord> test(recs.begin() + 128, recs.end());
 
+  NonTreeComparison out;
   const auto gnn = core::WireTimingEstimator::train(
       train, options(nn::ModelKind::kGnnTrans, 30));
-  const core::Evaluation gnn_eval = gnn.evaluate(test);
+  out.gnn = gnn.evaluate(test);
 
   baseline::Dac20Estimator dac;
   baseline::GbdtConfig gcfg;
   gcfg.trees = 80;
   dac.train(train, gcfg);
-  std::vector<double> pred, truth;
+  std::vector<double> slew_pred, slew_truth, delay_pred, delay_truth;
   for (const auto& rec : test) {
     const auto p = dac.estimate(rec.net, rec.context);
     for (std::size_t q = 0; q < p.size(); ++q) {
-      pred.push_back(p[q].delay);
-      truth.push_back(rec.delay_labels[q]);
+      slew_pred.push_back(p[q].slew);
+      slew_truth.push_back(rec.slew_labels[q]);
+      delay_pred.push_back(p[q].delay);
+      delay_truth.push_back(rec.delay_labels[q]);
     }
   }
-  const double dac_r2 = core::r2_score(pred, truth);
-  EXPECT_GT(gnn_eval.delay_r2, dac_r2);
+  out.dac_slew_r2 = core::r2_score(slew_pred, slew_truth);
+  out.dac_delay_r2 = core::r2_score(delay_pred, delay_truth);
+  ::testing::Test::RecordProperty("gnn_slew_r2", std::to_string(out.gnn.slew_r2));
+  ::testing::Test::RecordProperty("gnn_delay_r2", std::to_string(out.gnn.delay_r2));
+  ::testing::Test::RecordProperty("dac_slew_r2", std::to_string(out.dac_slew_r2));
+  ::testing::Test::RecordProperty("dac_delay_r2", std::to_string(out.dac_delay_r2));
+  return out;
+}
+
+// Table III's headline ordering: GNNTrans beats the DAC'20 baseline on
+// non-tree nets (where loop-breaking hurts).
+TEST(EndToEnd, GnnTransBeatsDac20OnNonTreeNets) {
+  const NonTreeComparison c = compare_on_non_tree_nets();
+  EXPECT_GT(c.gnn.delay_r2, c.dac_delay_r2);
+}
+
+// Table III's slew column. At this scale the paper's ordering does not hold
+// (GNNTrans slew R^2 about 0.75 against DAC'20's 0.82), so the test records
+// all four R^2 values in its XML properties instead of asserting it.
+TEST(EndToEnd, NonTreeSlewR2AgainstDac20Recorded) {
+  const NonTreeComparison c = compare_on_non_tree_nets();
+  EXPECT_TRUE(std::isfinite(c.gnn.slew_r2));
+  EXPECT_TRUE(std::isfinite(c.dac_slew_r2));
 }
 
 // SPEF in, timing out: the deployment path an external user would take.

@@ -1,6 +1,7 @@
 // Forward-value tests for tensor ops, optimizer behaviour, serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -245,6 +246,44 @@ TEST(Attention, NonSquareForwardBitwise) {
   const Tensor v = oracle::uniform(10, 5, -1.0f, 1.0f, rng);
   expect_forward_bitwise(q, k, v, 0.7f, {});
   expect_forward_bitwise(q, k, v, 0.7f, oracle::random_mask(7, 10, rng));
+}
+
+// The owned softmax (exp_f32, lane-strided denominator) against the libm,
+// key-order softmax it replaced: each output element within
+// kRelTol * sum_j a_j |v_j| of the libm chain, a_j its weights. That sum
+// bounds what a relative weight error can move the output by.
+TEST(Attention, WithinRelativeToleranceOfLibmKeyOrderChain) {
+  constexpr float kRelTol = 2e-6f;
+  std::mt19937_64 rng(45);
+  float worst = 0.0f;
+  for (const std::size_t n : oracle::kSizes)
+    for (const std::size_t dk : oracle::kWidths)
+      for (const std::size_t dv : oracle::kWidths) {
+        const Tensor q = oracle::uniform(n, dk, -1.5f, 1.5f, rng);
+        const Tensor k = oracle::uniform(n, dk, -1.5f, 1.5f, rng);
+        const Tensor v = oracle::uniform(n, dv, -1.0f, 1.0f, rng);
+        Tensor abs_v(n, dv);
+        for (std::size_t i = 0; i < v.size(); ++i) abs_v.values()[i] = std::fabs(v.values()[i]);
+        const float s = 1.0f / std::sqrt(static_cast<float>(dk));
+        for (const auto& mask : {std::vector<std::uint8_t>{}, oracle::random_mask(n, n, rng),
+                                 std::vector<std::uint8_t>(n * n, 0)}) {
+          NoGradGuard guard;
+          const Tensor fused = attention(q, k, v, s, mask);
+          const Tensor ref = oracle::libm_chain(q, k, v, s, mask);
+          const Tensor weights =
+              oracle::libm_softmax_rows(scale(matmul_nt(q, k), s), mask);
+          const Tensor magnitude = matmul(weights, abs_v);
+          for (std::size_t i = 0; i < fused.size(); ++i) {
+            const float err = std::fabs(fused.values()[i] - ref.values()[i]);
+            const float bound = magnitude.values()[i];
+            ASSERT_LE(err, kRelTol * bound) << "N=" << n << " dk=" << dk << " dv=" << dv;
+            if (bound > 0.0f) worst = std::max(worst, err / bound);
+          }
+        }
+      }
+  std::ostringstream worst_text;
+  worst_text << worst;
+  RecordProperty("worst_relative_error", worst_text.str());
 }
 
 TEST(Ops, ConcatColsLayout) {
